@@ -1,11 +1,10 @@
 //! Benchmarks for the extension modules: WAL durability, store compaction,
-//! hangul romanization, mention extraction and online grouping.
+//! hangul romanization and mention extraction.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
-use stir_core::{LocationString, OnlineGrouping};
 use stir_geoindex::Point;
 use stir_geokr::Gazetteer;
 use stir_textgeo::hangul::romanize;
@@ -116,56 +115,9 @@ fn bench_mentions(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_online_grouping(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let counties = ["Guro-gu", "Mapo-gu", "Jung-gu", "Gangnam-gu", "Songpa-gu"];
-    let strings: Vec<LocationString> = (0..50_000)
-        .map(|i| LocationString {
-            user: i % 500,
-            state_profile: "Seoul".into(),
-            county_profile: "Guro-gu".into(),
-            state_tweet: "Seoul".into(),
-            county_tweet: counties[rng.gen_range(0..counties.len())].into(),
-        })
-        .collect();
-    let mut group = c.benchmark_group("extensions/online_grouping");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(strings.len() as u64));
-    // The deprecated string shim: four string-hash interns per push.
-    #[allow(deprecated)]
-    group.bench_function("push_50k_strings_500_users", |b| {
-        b.iter(|| {
-            let mut og = OnlineGrouping::new();
-            for s in &strings {
-                og.push(black_box(s));
-            }
-            og.len()
-        })
-    });
-    // The keyed path: intern each district once up front, then push plain
-    // `Copy` keys — what the shim's deprecation note tells callers to do.
-    group.bench_function("push_key_50k_strings_500_users", |b| {
-        b.iter(|| {
-            let mut og = OnlineGrouping::new();
-            let profile = og.intern_district("Seoul", "Guro-gu");
-            let county_ids: Vec<_> = counties
-                .iter()
-                .map(|c| og.intern_district("Seoul", c))
-                .collect();
-            for s in &strings {
-                let tweet = county_ids[counties.iter().position(|&c| c == s.county_tweet).unwrap()];
-                let key = og.key(black_box(s.user), profile, tweet);
-                og.push_key(key);
-            }
-            og.len()
-        })
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_wal, bench_compaction, bench_hangul, bench_mentions, bench_online_grouping
+    targets = bench_wal, bench_compaction, bench_hangul, bench_mentions
 }
 criterion_main!(benches);

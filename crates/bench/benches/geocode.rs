@@ -51,7 +51,7 @@ fn bench_reverse(c: &mut Criterion) {
 
 /// Lock-contention benchmark: N threads hammering ONE warmed geocoder.
 /// `single_shard` reproduces the seed's layout (one mutex around the whole
-/// cache — `with_shards(.., 1)`); `sharded` is the default power-of-two
+/// cache — `builder(..).shards(1)`); `sharded` is the default power-of-two
 /// shard array. On multi-core hardware the single mutex serialises the hit
 /// path and throughput flat-lines as threads grow, while the sharded cache
 /// scales; on a single core the two converge (no parallel hit paths exist

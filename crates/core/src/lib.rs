@@ -8,8 +8,7 @@
 //! * [`grouping`] — the **text-based grouping method**: merge identical
 //!   strings with counts, order per user, locate the *matched string*
 //!   (profile district == tweet district) and its rank (Table II).
-//! * [`topk`] — the Top-k user groups (Top-1 … Top-5, Top-6+, None);
-//!   [`online`] — the same grouping maintained incrementally per key.
+//! * [`topk`] — the Top-k user groups (Top-1 … Top-5, Top-6+, None).
 //! * [`service`] — the always-on incremental engine: [`AnalysisSession`]
 //!   ingests one tweet at a time (byte-identical to the batch pipeline at
 //!   every prefix), answers windowed/top-k queries over live state, and
@@ -44,7 +43,6 @@ pub(crate) mod hash;
 pub mod input;
 pub mod intern;
 pub mod metrics;
-pub mod online;
 pub mod pipeline;
 pub mod regional;
 pub mod reliability;
@@ -70,7 +68,6 @@ pub use metrics::{
     ExecMetrics, ExecMode, GeocodeMetrics, GeocodeMode, GroupingMetrics, PipelineMetrics,
     SelectMetrics, StageTimings,
 };
-pub use online::OnlineGrouping;
 pub use pipeline::exec::{warmup_collapse, ColumnBatch, MorselSource, RowSource, NO_GPS_E6};
 pub use pipeline::{
     AnalysisResult, PipelineBuildError, PipelineBuilder, PipelineConfig, PipelineInput,

@@ -1,6 +1,6 @@
 //! Pipeline observability: per-stage wall time and geocode-stage detail.
 //!
-//! Every [`crate::RefinementPipeline::run`] fills a [`PipelineMetrics`] and
+//! Every [`crate::RefinementPipeline::execute`] fills a [`PipelineMetrics`] and
 //! returns it on [`crate::AnalysisResult`], so callers can assert on and
 //! report the pipeline's hot path — at paper scale the geocode stage
 //! dominates, and this is where its throughput, cache behaviour, and

@@ -35,7 +35,7 @@
 pub mod exec;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use stir_geoindex::Point;
@@ -43,8 +43,7 @@ use stir_geokr::service::{BackendChoice, FaultPlan, Geocoder, GeocoderBuilder, R
 use stir_geokr::{DistrictId as GazDistrictId, Gazetteer};
 use stir_textgeo::{ProfileClass, ProfileClassifier};
 use stir_tweetstore::{
-    BlockChunk, HeaderBlocks, ScanMetrics, ShardScanMetrics, ShardedHeaderBlocks, ShardedStore,
-    TweetStore,
+    BlockChunk, HeaderBlocks, ScanMetrics, ShardScanMetrics, ShardedStore, TweetStore, WalRecovery,
 };
 
 use crate::funnel::CollectionFunnel;
@@ -104,64 +103,51 @@ enum CachedClass {
 ///
 /// Construct through [`PipelineBuilder`] — the builder validates the
 /// geometry once at [`PipelineBuilder::build`] instead of every consumer
-/// re-checking field combinations at runtime. Direct field access is
-/// deprecated; read through the accessor methods
-/// ([`PipelineConfig::threads`], [`PipelineConfig::is_fused`], …).
+/// re-checking field combinations at runtime. Read through the accessor
+/// methods ([`PipelineConfig::threads`], [`PipelineConfig::is_fused`], …).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
     /// Legacy switch for [`BackendChoice::Yahoo`]: round-trip every reverse
     /// geocode through the mock Yahoo XML endpoint (serialize → parse),
     /// exercising the paper's integration path. Ignored when `backend`
     /// already names a non-default choice.
-    #[deprecated(note = "construct via PipelineBuilder::via_yahoo_xml")]
-    pub via_yahoo_xml: bool,
+    via_yahoo_xml: bool,
     /// Which geocoding backend the pipeline plugs in (the pipeline itself
     /// never names a concrete geocoder type).
-    #[deprecated(note = "construct via PipelineBuilder::backend")]
-    pub backend: BackendChoice,
+    backend: BackendChoice,
     /// Fault schedule injected at the Yahoo endpoint (quiet by default;
     /// meaningless for the plain gazetteer backend).
-    #[deprecated(note = "construct via PipelineBuilder::faults")]
-    pub fault_plan: FaultPlan,
+    fault_plan: FaultPlan,
     /// Retry/breaker/budget knobs of the resilient backend.
-    #[deprecated(note = "construct via PipelineBuilder::resilience")]
-    pub resilience: ResiliencePolicy,
+    resilience: ResiliencePolicy,
     /// Worker-thread **ceiling** (≥ 1). The scheduler never exceeds it,
     /// but may use fewer: the count is capped at the machine's
     /// `available_parallelism`, and the fused engine additionally
     /// collapses to serial-inline when a warmup sample shows workers
     /// time-slicing one core (see [`exec::warmup_collapse`]).
-    #[deprecated(note = "construct via PipelineBuilder::threads")]
-    pub threads: usize,
+    threads: usize,
     /// Obey `threads` exactly — no availability cap, no warmup collapse.
     /// The bench escape hatch (`--threads-exact`): oversubscription
     /// experiments need the configured geometry to actually run.
-    #[deprecated(note = "construct via PipelineBuilder::threads_exact")]
-    pub threads_exact: bool,
+    threads_exact: bool,
     /// Grouping grain (the §III-B metropolitan-split choice).
-    #[deprecated(note = "construct via PipelineBuilder::granularity")]
-    pub granularity: Granularity,
+    granularity: Granularity,
     /// Run stages 2–3 on the fused morsel-driven engine (default). The
     /// staged path stays available as the reference implementation —
     /// byte-identical output, pinned by tests.
-    #[deprecated(note = "construct via PipelineBuilder::staged / fused")]
-    pub fused: bool,
+    fused: bool,
     /// Rows per morsel on the fused path; `0` picks the default grain.
-    #[deprecated(note = "construct via PipelineBuilder::morsel_rows")]
-    pub morsel_rows: usize,
+    morsel_rows: usize,
     /// Hash partitions for emitted keys on the fused path; `0` sizes from
     /// the thread count.
-    #[deprecated(note = "construct via PipelineBuilder::partitions")]
-    pub fused_partitions: usize,
+    fused_partitions: usize,
     /// Answer store-backed queries from per-segment group sketches when
     /// every sealed segment has (or can lazily build) one under the
     /// pipeline's gazetteer; falls back to the configured engine
     /// otherwise. Gazetteer backend only.
-    #[deprecated(note = "construct via PipelineBuilder::sketches")]
-    pub sketches: bool,
+    sketches: bool,
 }
 
-#[allow(deprecated)] // the one sanctioned construction site besides the builder
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
@@ -180,7 +166,6 @@ impl Default for PipelineConfig {
     }
 }
 
-#[allow(deprecated)] // accessors are the supported read path over the deprecated fields
 impl PipelineConfig {
     /// The configured backend choice (before the legacy-flag upgrade —
     /// see [`PipelineConfig::effective_backend`]).
@@ -348,7 +333,6 @@ pub struct PipelineBuilder<'g> {
     partitions: Option<usize>,
 }
 
-#[allow(deprecated)] // the builder is the sanctioned writer of the config fields
 impl<'g> PipelineBuilder<'g> {
     /// Starts from the default configuration.
     pub fn new(gazetteer: &'g Gazetteer) -> Self {
@@ -487,6 +471,13 @@ pub struct TimeWindow {
 }
 
 impl TimeWindow {
+    /// Every timestamp: what a full request runs over (the store layer
+    /// reads `end = u64::MAX` as no upper bound).
+    pub(crate) const ALL: TimeWindow = TimeWindow {
+        start: 0,
+        end: u64::MAX,
+    };
+
     /// The day-aligned window covering UTC day ordinals `[lo_day, hi_day)`.
     pub fn days(lo_day: u64, hi_day: u64) -> Self {
         const DAY: u64 = 86_400;
@@ -503,22 +494,24 @@ impl TimeWindow {
 }
 
 /// Anything the pipeline can consume, unified behind
-/// [`RefinementPipeline::execute`]. The three shapes that used to be three
-/// entry points (`run`, `run_from_source`, `run_from_store`) are three
-/// variants of one input type; plain `Into` conversions exist for the
+/// [`RefinementPipeline::execute`]; plain `Into` conversions exist for the
 /// common concrete shapes so call sites rarely name the enum.
 pub enum PipelineInput<'a> {
     /// A stream of tweet rows (the staged engine can run on this shape).
     Rows(Box<dyn Iterator<Item = TweetRow> + Send + 'a>),
     /// A shared morsel source — always runs on the fused engine.
     Source(&'a dyn MorselSource),
-    /// A tweet store scanned in place: zero-copy header decode, scan
-    /// statistics filled into [`PipelineMetrics::scan`].
-    Store(&'a TweetStore),
-    /// A user-hash-sharded store: shard blocks feed the fused engine
-    /// through a cross-shard morsel source, and [`PipelineMetrics::scan`]
-    /// gains per-shard rows (decode volume, WAL recovery outcome).
-    Shards(&'a ShardedStore),
+    /// A store scanned in place as a slice of shards (a [`TweetStore`] is
+    /// one shard, a [`ShardedStore`] its shards): zero-copy header decode,
+    /// scan statistics — one row per shard — filled into
+    /// [`PipelineMetrics::scan`].
+    Store {
+        /// The shards, in placement order.
+        shards: &'a [TweetStore],
+        /// Each shard's WAL recovery outcome, where it opened from a log
+        /// (empty when none did).
+        recovery: &'a [Option<WalRecovery>],
+    },
 }
 
 impl<'a> PipelineInput<'a> {
@@ -546,67 +539,45 @@ impl<'a> From<&'a dyn MorselSource> for PipelineInput<'a> {
 
 impl<'a> From<&'a TweetStore> for PipelineInput<'a> {
     fn from(store: &'a TweetStore) -> Self {
-        PipelineInput::Store(store)
+        PipelineInput::Store {
+            shards: store.as_ref(),
+            recovery: &[],
+        }
     }
 }
 
 impl<'a> From<&'a ShardedStore> for PipelineInput<'a> {
     fn from(store: &'a ShardedStore) -> Self {
-        PipelineInput::Shards(store)
+        PipelineInput::Store {
+            shards: store.shards(),
+            recovery: store.recovery(),
+        }
     }
 }
 
-/// [`HeaderBlocks`] as a [`MorselSource`]: store blocks feed the fused
-/// engine directly — each decoded header's fields go straight into the
-/// morsel's columns (no row value of any shape in between), and the
-/// block's slot-position ordinals are exactly the input ordinals the
-/// engine's determinism argument needs.
-struct StoreSource<'s> {
-    blocks: HeaderBlocks<'s>,
-}
-
-impl MorselSource for StoreSource<'_> {
+/// Store blocks as fused-engine morsels: each decoded header's fields (a
+/// columnar block's slices, bulk-copied) go straight into the morsel's
+/// columns, with no row value of any shape in between, and the blocks'
+/// ordinals are exactly the input ordinals the engine's determinism
+/// argument needs. A block the time window empties is passed over.
+impl MorselSource for HeaderBlocks<'_> {
     fn next_morsel(&self, buf: &mut ColumnBatch) -> Option<u64> {
         buf.clear();
-        self.blocks.next_block_mixed(|chunk| match chunk {
-            // Columnar (STIRSEG2) block: bulk-copy the primitive slices,
-            // no per-record header is ever assembled.
-            BlockChunk::Columns(c) => {
-                buf.push_store_columns(c.users, c.timestamps, c.lats_e6, c.lons_e6)
+        loop {
+            let first = self.next_block_mixed(|chunk| match chunk {
+                BlockChunk::Columns(c) => {
+                    buf.push_store_columns(c.users, c.timestamps, c.lats_e6, c.lons_e6)
+                }
+                BlockChunk::Header(h) => buf.push(h.user, h.timestamp as i64, h.gps),
+            })?;
+            if !buf.is_empty() {
+                return Some(first);
             }
-            BlockChunk::Header(h) => buf.push(h.user, h.timestamp as i64, h.gps),
-        })
+        }
     }
 
     fn morsel_rows(&self) -> usize {
-        self.blocks.block_records()
-    }
-}
-
-/// [`ShardedHeaderBlocks`] as a [`MorselSource`]: the shard-by-shard block
-/// layout with cumulative ordinal bases keeps ordinals unique across the
-/// whole sharded store, and — because placement confines each user to one
-/// shard — every user's ordinals ascend in append order. Grouping state
-/// and first-seen tie-breaks are per-user, so the fused engine's output
-/// over this source is byte-identical to the single-store run even though
-/// the global scan order differs.
-struct ShardedSource<'s> {
-    blocks: ShardedHeaderBlocks<'s>,
-}
-
-impl MorselSource for ShardedSource<'_> {
-    fn next_morsel(&self, buf: &mut ColumnBatch) -> Option<u64> {
-        buf.clear();
-        self.blocks.next_block_mixed(|chunk| match chunk {
-            BlockChunk::Columns(c) => {
-                buf.push_store_columns(c.users, c.timestamps, c.lats_e6, c.lons_e6)
-            }
-            BlockChunk::Header(h) => buf.push(h.user, h.timestamp as i64, h.gps),
-        })
-    }
-
-    fn morsel_rows(&self) -> usize {
-        self.blocks.block_records()
+        self.block_records()
     }
 }
 
@@ -968,18 +939,18 @@ impl<'g> RefinementPipeline<'g> {
     }
 
     /// Runs the full pipeline on any [`PipelineInput`] — rows, a morsel
-    /// source, or a tweet store — selected by plain `Into` conversion:
+    /// source, or a store — selected by plain `Into` conversion:
     ///
     /// ```ignore
     /// pipeline.execute(profiles, rows_vec);        // Vec<TweetRow>
     /// pipeline.execute(profiles, &source);         // &dyn MorselSource
-    /// pipeline.execute(profiles, &store);          // &TweetStore
+    /// pipeline.execute(profiles, &store);          // &TweetStore or &ShardedStore
     /// ```
     ///
     /// Rows honor the fused/staged engine choice; a morsel source always
     /// runs fused (it has no staged equivalent); a store streams scan
-    /// blocks straight into the fused engine (or decodes rows serially on
-    /// the staged path) and fills [`PipelineMetrics::scan`].
+    /// blocks straight into the fused engine (or feeds the staged engine
+    /// serially) and fills [`PipelineMetrics::scan`].
     pub fn execute<'a, PI>(
         &self,
         profiles: PI,
@@ -990,292 +961,199 @@ impl<'g> RefinementPipeline<'g> {
     {
         match input.into() {
             PipelineInput::Rows(rows) => self.run_rows(profiles, rows),
-            PipelineInput::Source(source) => self.run_source(profiles, source),
-            PipelineInput::Store(store) => self.run_store(profiles, store),
-            PipelineInput::Shards(store) => self.run_shards(profiles, store),
+            PipelineInput::Source(source) => self.run_with(profiles, |kept, funnel, metrics| {
+                self.process_tweets_fused(kept, source, funnel, metrics)
+            }),
+            PipelineInput::Store { shards, recovery } => {
+                self.run_stored(profiles, shards, recovery, TimeWindow::ALL)
+            }
         }
     }
 
-    /// Runs the full pipeline. Stages 2–3 go through the fused morsel
-    /// engine unless the config turned it off (the staged reference path
-    /// produces byte-identical output).
-    #[deprecated(note = "use `execute(profiles, rows)` — one entry point for every input shape")]
-    pub fn run<PI, TI>(&self, profiles: PI, tweets: TI) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-        TI: IntoIterator<Item = TweetRow>,
-        TI::IntoIter: Send,
-    {
-        self.run_rows(profiles, tweets)
-    }
-
-    /// Runs the full pipeline with stages 2–3 fed by an arbitrary
-    /// [`MorselSource`].
-    #[deprecated(note = "use `execute(profiles, &source)` — one entry point for every input shape")]
-    pub fn run_from_source<PI>(&self, profiles: PI, source: &dyn MorselSource) -> AnalysisResult
+    /// Runs the pipeline over the records of `store` whose timestamp falls
+    /// in `window` — the same store path a full request takes (see
+    /// [`RefinementPipeline::execute`]), so the answer is byte-identical to
+    /// a full run over just those records (pinned by proptests). With
+    /// sketches applicable the interior whole days merge from per-segment
+    /// day buckets and only the open tail plus any boundary buckets are
+    /// scanned; otherwise zone maps prune the segments the window misses
+    /// and the configured engine runs over the in-window rows.
+    pub fn execute_windowed<PI>(
+        &self,
+        profiles: PI,
+        store: &TweetStore,
+        window: TimeWindow,
+    ) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
     {
-        self.run_source(profiles, source)
+        self.run_stored(profiles, store.as_ref(), &[], window)
     }
 
+    /// [`RefinementPipeline::execute_windowed`] over a sharded store.
+    pub fn execute_windowed_sharded<PI>(
+        &self,
+        profiles: PI,
+        store: &ShardedStore,
+        window: TimeWindow,
+    ) -> AnalysisResult
+    where
+        PI: IntoIterator<Item = ProfileRow>,
+    {
+        self.run_stored(profiles, store.shards(), store.recovery(), window)
+    }
+
+    /// Every run's frame: stage 1 (timed), then `stages` 2–3 over the kept
+    /// cohort, then the boundary resolution of the interned profile
+    /// districts to strings — downstream consumers keep their published
+    /// String view.
+    fn run_with<PI>(
+        &self,
+        profiles: PI,
+        stages: impl FnOnce(
+            &HashMap<u64, DistrictId>,
+            &mut CollectionFunnel,
+            &mut PipelineMetrics,
+        ) -> Vec<GroupedUser>,
+    ) -> AnalysisResult
+    where
+        PI: IntoIterator<Item = ProfileRow>,
+    {
+        let total_start = Instant::now();
+        let mut funnel = CollectionFunnel::default();
+        let mut metrics = PipelineMetrics::default();
+        let select_start = Instant::now();
+        let kept = self.select_users_metered(profiles, &mut funnel, &mut metrics.select);
+        metrics.stages.select_users = select_start.elapsed();
+        let users = stages(&kept, &mut funnel, &mut metrics);
+        metrics.stages.total = total_start.elapsed();
+        let kept_profiles = kept
+            .into_iter()
+            .map(|(user, id)| {
+                let (state, county) = self.interner.resolve(id);
+                (user, (state.to_string(), county.to_string()))
+            })
+            .collect();
+        AnalysisResult {
+            funnel,
+            users,
+            kept_profiles,
+            metrics,
+        }
+    }
+
+    /// Rows run on the fused engine through a [`RowSource`], or on the
+    /// staged reference path.
     fn run_rows<PI, TI>(&self, profiles: PI, tweets: TI) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
         TI: IntoIterator<Item = TweetRow>,
         TI::IntoIter: Send,
     {
-        let total_start = Instant::now();
-        let mut funnel = CollectionFunnel::default();
-        let mut metrics = PipelineMetrics::default();
-        let select_start = Instant::now();
-        let kept = self.select_users_metered(profiles, &mut funnel, &mut metrics.select);
-        metrics.stages.select_users = select_start.elapsed();
-        let users = if self.config.is_fused() {
-            let source = RowSource::new(tweets.into_iter(), self.config.effective_morsel_rows());
-            self.process_tweets_fused(&kept, &source, &mut funnel, &mut metrics)
-        } else {
-            self.process_tweets(&kept, tweets, &mut funnel, &mut metrics)
-        };
-        metrics.stages.total = total_start.elapsed();
-        self.finish(funnel, users, kept, metrics)
+        self.run_with(profiles, |kept, funnel, metrics| {
+            if self.config.is_fused() {
+                let source =
+                    RowSource::new(tweets.into_iter(), self.config.effective_morsel_rows());
+                self.process_tweets_fused(kept, &source, funnel, metrics)
+            } else {
+                self.process_tweets(kept, tweets, funnel, metrics)
+            }
+        })
     }
 
-    /// The fused engine always runs on this entry (a morsel source has no
-    /// staged equivalent). This is how store-backed runs stream scan
-    /// blocks straight into the engine without ever collecting a row
-    /// vector.
-    fn run_source<PI>(&self, profiles: PI, source: &dyn MorselSource) -> AnalysisResult
+    /// The one store path: runs over the records of a shard slice (a
+    /// single store is one shard) whose timestamp falls in `window` —
+    /// [`TimeWindow::ALL`] for a full request. With sketches applicable the
+    /// sealed segments merge from their group sketches and only the
+    /// residue is scanned. Otherwise [`HeaderBlocks::between`] lays out
+    /// only the segments the window's zone maps can reach, and the
+    /// configured engine runs over the in-window rows: fused with the
+    /// blocks as morsels, or staged over a serial row feed drained from the
+    /// same blocks. Only the text of a record is never touched. One scan
+    /// record reports either path, with a row per shard; placement is
+    /// per-user, and so is every ordering the engines depend on, so the
+    /// output is byte-identical at any shard count.
+    fn run_stored<PI>(
+        &self,
+        profiles: PI,
+        stores: &[TweetStore],
+        recovery: &[Option<WalRecovery>],
+        window: TimeWindow,
+    ) -> AnalysisResult
     where
         PI: IntoIterator<Item = ProfileRow>,
     {
-        let total_start = Instant::now();
-        let mut funnel = CollectionFunnel::default();
-        let mut metrics = PipelineMetrics::default();
-        let select_start = Instant::now();
-        let kept = self.select_users_metered(profiles, &mut funnel, &mut metrics.select);
-        metrics.stages.select_users = select_start.elapsed();
-        let users = self.process_tweets_fused(&kept, source, &mut funnel, &mut metrics);
-        metrics.stages.total = total_start.elapsed();
-        self.finish(funnel, users, kept, metrics)
-    }
-
-    /// Runs with tweets streamed out of `store`. The hand-off is zero-copy
-    /// per stored record: only the fixed-field header of each record
-    /// decodes — the tweet text (which the pipeline never reads) stays
-    /// untouched in the segment buffers. On the fused engine (the default)
-    /// store blocks *are* the morsels; the staged reference path streams
-    /// rows through a serial iterator instead. Scan statistics land in the
-    /// result's [`PipelineMetrics::scan`] slot either way.
-    fn run_store<PI>(&self, profiles: PI, store: &TweetStore) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        let stats = store.stats();
-        if let Some(fp) = self.sketch_fingerprint() {
-            if let Some(plan) = sketch::plan_store(store, fp) {
-                return self.run_sketched(profiles, &plan, &sketch::SketchWindow::All, stats);
-            }
-        }
-        if self.config.is_fused() {
-            let source = StoreSource {
-                blocks: HeaderBlocks::new(store, self.config.effective_morsel_rows()),
-            };
-            let mut result = self.run_source(profiles, &source);
-            let exec = result.metrics.exec.as_ref();
-            result.metrics.scan = Some(ScanMetrics {
-                segments_total: stats.segments as u64,
-                segments_pruned: 0,
-                records_stored: stats.records,
-                records_pruned: 0,
-                headers_decoded: source.blocks.headers_decoded(),
-                records_rejected: 0,
-                records_yielded: source.blocks.headers_decoded(),
-                records_corrupt: source.blocks.records_corrupt(),
-                bytes_stored: stats.payload_bytes,
-                bytes_decoded: source.blocks.bytes_decoded(),
-                segments_row: source.blocks.segments_row(),
-                segments_col: source.blocks.segments_col(),
-                col_bytes_read: source.blocks.col_bytes_read(),
-                row_bytes_equiv: source.blocks.row_bytes_equiv(),
-                threads: exec.map_or(1, |e| e.threads),
-                blocks_per_thread: exec.map_or_else(Vec::new, |e| e.morsels_per_thread.clone()),
-                // The scan is fused into the pass: the filter operator's
-                // time is the closest honest measure of it.
-                wall: result.metrics.stages.tweet_intake,
-                per_shard: Vec::new(),
-                ..Default::default()
-            });
-            return result;
-        }
-        let headers = AtomicU64::new(0);
-        let header_bytes = AtomicU64::new(0);
-        let corrupt = AtomicU64::new(0);
-        let tweets = store.scan_views().filter_map(|r| match r {
-            Ok(v) => {
-                headers.fetch_add(1, Ordering::Relaxed);
-                header_bytes.fetch_add(v.header_len() as u64, Ordering::Relaxed);
-                Some(TweetRow {
-                    user: v.header.user,
-                    tweet_id: v.header.id,
-                    gps: v.header.gps,
-                })
-            }
-            Err(_) => {
-                corrupt.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        });
-        let mut result = self.run_rows(profiles, tweets);
-        let seg_col = store.segments().iter().filter(|s| s.is_columnar()).count() as u64;
-        result.metrics.scan = Some(ScanMetrics {
-            segments_total: stats.segments as u64,
-            segments_pruned: 0,
-            records_stored: stats.records,
-            records_pruned: 0,
-            headers_decoded: headers.load(Ordering::Relaxed),
-            records_rejected: 0,
-            records_yielded: headers.load(Ordering::Relaxed),
-            records_corrupt: corrupt.load(Ordering::Relaxed),
-            bytes_stored: stats.payload_bytes,
-            bytes_decoded: header_bytes.load(Ordering::Relaxed),
-            segments_row: stats.segments as u64 - seg_col,
-            segments_col: seg_col,
-            // The staged path materializes per-record views either way;
-            // the column/row byte split is tracked on the fused path only.
-            col_bytes_read: 0,
-            row_bytes_equiv: 0,
-            threads: 1,
-            blocks_per_thread: vec![stats.segments as u64],
-            // The scan is interleaved with intake: the intake stage's wall
-            // time is the closest honest measure of it.
-            wall: result.metrics.stages.tweet_intake,
-            per_shard: Vec::new(),
-            ..Default::default()
-        });
-        result
-    }
-
-    /// Runs with tweets streamed out of a sharded store. The fused engine
-    /// consumes the cross-shard morsel source (shard-by-shard blocks with
-    /// cumulative ordinal bases); the staged reference path chains the
-    /// shards' serial scans in the same order. Either way the output is
-    /// byte-identical to the equivalent single-store run — placement is
-    /// per-user and so is every ordering the engine depends on — and
-    /// [`PipelineMetrics::scan`] gains one row per shard.
-    fn run_shards<PI>(&self, profiles: PI, store: &ShardedStore) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        let stats = store.stats();
-        if let Some(fp) = self.sketch_fingerprint() {
-            if let Some(plan) = sketch::plan_shards(store, fp) {
-                return self.run_sketched(profiles, &plan, &sketch::SketchWindow::All, stats);
-            }
-        }
-        let per_shard_rows = |bytes: &[u64]| -> Vec<ShardScanMetrics> {
-            store
-                .shards()
+        self.run_with(profiles, |kept, funnel, metrics| {
+            let per_shard: Vec<ShardScanMetrics> = stores
                 .iter()
                 .enumerate()
-                .map(|(i, shard)| {
-                    let st = shard.stats();
-                    ShardScanMetrics {
-                        shard: i as u32,
-                        segments_total: st.segments as u64,
-                        segments_pruned: 0,
-                        records_stored: st.records,
-                        records_pruned: 0,
-                        bytes_decoded: bytes.get(i).copied().unwrap_or(0),
-                        wal: store.recovery()[i],
-                    }
+                .map(|(i, s)| ShardScanMetrics {
+                    shard: i as u32,
+                    segments_total: s.stats().segments as u64,
+                    records_stored: s.stats().records,
+                    wal: recovery.get(i).copied().flatten(),
+                    ..Default::default()
                 })
-                .collect()
-        };
-        if self.config.is_fused() {
-            let source = ShardedSource {
-                blocks: ShardedHeaderBlocks::new(store, self.config.effective_morsel_rows()),
-            };
-            let mut result = self.run_source(profiles, &source);
-            let exec = result.metrics.exec.as_ref();
-            let shard_bytes: Vec<u64> = source
-                .blocks
-                .per_shard()
-                .iter()
-                .map(|p| p.bytes_decoded)
                 .collect();
-            result.metrics.scan = Some(ScanMetrics {
-                segments_total: stats.segments as u64,
-                records_stored: stats.records,
-                headers_decoded: source.blocks.headers_decoded(),
-                records_yielded: source.blocks.headers_decoded(),
-                records_corrupt: source.blocks.records_corrupt(),
-                bytes_stored: stats.payload_bytes,
-                bytes_decoded: source.blocks.bytes_decoded(),
-                segments_row: source.blocks.segments_row(),
-                segments_col: source.blocks.segments_col(),
-                col_bytes_read: source.blocks.col_bytes_read(),
-                row_bytes_equiv: source.blocks.row_bytes_equiv(),
-                threads: exec.map_or(1, |e| e.threads),
-                blocks_per_thread: exec.map_or_else(Vec::new, |e| e.morsels_per_thread.clone()),
-                wall: result.metrics.stages.tweet_intake,
-                per_shard: per_shard_rows(&shard_bytes),
+            let segments_total: u64 = per_shard.iter().map(|p| p.segments_total).sum();
+            let segments_col = stores
+                .iter()
+                .flat_map(|s| s.segments())
+                .filter(|s| s.is_columnar())
+                .count() as u64;
+            let mut scan = ScanMetrics {
+                segments_total,
+                segments_row: segments_total - segments_col,
+                segments_col,
+                records_stored: per_shard.iter().map(|p| p.records_stored).sum(),
+                bytes_stored: stores.iter().map(|s| s.stats().payload_bytes).sum(),
+                threads: 1,
+                per_shard,
                 ..Default::default()
-            });
-            return result;
-        }
-        let headers = AtomicU64::new(0);
-        let shard_bytes: Vec<AtomicU64> = (0..store.shard_count())
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let corrupt = AtomicU64::new(0);
-        let tweets = store.shards().iter().enumerate().flat_map(|(i, shard)| {
-            let shard_bytes = &shard_bytes;
-            let headers = &headers;
-            let corrupt = &corrupt;
-            shard.scan_views().filter_map(move |r| match r {
-                Ok(v) => {
-                    headers.fetch_add(1, Ordering::Relaxed);
-                    shard_bytes[i].fetch_add(v.header_len() as u64, Ordering::Relaxed);
-                    Some(TweetRow {
-                        user: v.header.user,
-                        tweet_id: v.header.id,
-                        gps: v.header.gps,
-                    })
+            };
+            let users = match self
+                .sketch_fingerprint()
+                .and_then(|fp| sketch::plan(stores, fp))
+            {
+                Some(plan) => self.merge_sketches(kept, &plan, window, funnel, metrics, &mut scan),
+                None => {
+                    let rows = self.config.effective_morsel_rows();
+                    let blocks = HeaderBlocks::between(stores, rows, window.start, window.end);
+                    let users = if self.config.is_fused() {
+                        let users = self.process_tweets_fused(kept, &blocks, funnel, metrics);
+                        if let Some(e) = &metrics.exec {
+                            scan.threads = e.threads;
+                            scan.blocks_per_thread = e.morsels_per_thread.clone();
+                        }
+                        users
+                    } else {
+                        let mut drawn = 0u64;
+                        let feed = std::iter::from_fn(|| {
+                            let mut block = Vec::new();
+                            blocks.next_block_headers(|h| {
+                                block.push(TweetRow {
+                                    user: h.user,
+                                    tweet_id: h.id,
+                                    gps: h.gps,
+                                })
+                            })?;
+                            drawn += 1;
+                            Some(block)
+                        });
+                        let users = self.process_tweets(kept, feed.flatten(), funnel, metrics);
+                        scan.blocks_per_thread = vec![drawn];
+                        users
+                    };
+                    blocks.charge(&mut scan);
+                    // The scan is interleaved with intake: the intake
+                    // stage's wall time is the closest measure of it.
+                    scan.wall = metrics.stages.tweet_intake;
+                    users
                 }
-                Err(_) => {
-                    corrupt.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            })
-        });
-        let mut result = self.run_rows(profiles, tweets);
-        let bytes: Vec<u64> = shard_bytes
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let seg_col: u64 = store
-            .shards()
-            .iter()
-            .map(|s| s.segments().iter().filter(|g| g.is_columnar()).count() as u64)
-            .sum();
-        result.metrics.scan = Some(ScanMetrics {
-            segments_total: stats.segments as u64,
-            records_stored: stats.records,
-            headers_decoded: headers.load(Ordering::Relaxed),
-            records_yielded: headers.load(Ordering::Relaxed),
-            records_corrupt: corrupt.load(Ordering::Relaxed),
-            bytes_stored: stats.payload_bytes,
-            bytes_decoded: bytes.iter().sum(),
-            segments_row: stats.segments as u64 - seg_col,
-            segments_col: seg_col,
-            threads: 1,
-            blocks_per_thread: vec![stats.segments as u64],
-            wall: result.metrics.stages.tweet_intake,
-            per_shard: per_shard_rows(&bytes),
-            ..Default::default()
-        });
-        result
+            };
+            metrics.scan = Some(scan);
+            users
+        })
     }
 
     /// The gazetteer vocabulary fingerprint store sketches must match —
@@ -1287,35 +1165,27 @@ impl<'g> RefinementPipeline<'g> {
             .then(|| sketch::gazetteer_fingerprint(self.gazetteer))
     }
 
-    /// Runs a sketch-complete query: stage 1 as usual, then the delta
-    /// merge over per-segment sketches plus a record-wise pass over the
-    /// residue (open tails; boundary buckets of non-aligned windows).
-    /// Output is byte-identical to the scan engines over the same window;
-    /// the sketch counters land in both [`PipelineMetrics::exec`] and
-    /// [`PipelineMetrics::scan`].
-    fn run_sketched<PI>(
+    /// Stages 2–3 of a sketch-complete query: the delta merge over
+    /// per-segment sketches plus a record-wise pass over the residue (open
+    /// tails; boundary buckets of non-aligned windows). Output is
+    /// byte-identical to the scan engines over the same window; the sketch
+    /// counters land in both [`PipelineMetrics::exec`] and `scan`.
+    fn merge_sketches(
         &self,
-        profiles: PI,
+        kept: &HashMap<u64, DistrictId>,
         plan: &sketch::SketchPlan<'_>,
-        window: &sketch::SketchWindow,
-        stats: stir_tweetstore::StoreStats,
-    ) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        let total_start = Instant::now();
-        let mut funnel = CollectionFunnel::default();
-        let mut metrics = PipelineMetrics::default();
-        let select_start = Instant::now();
-        let kept = self.select_users_metered(profiles, &mut funnel, &mut metrics.select);
-        metrics.stages.select_users = select_start.elapsed();
+        window: TimeWindow,
+        funnel: &mut CollectionFunnel,
+        metrics: &mut PipelineMetrics,
+        scan: &mut ScanMetrics,
+    ) -> Vec<GroupedUser> {
         let merge_start = Instant::now();
         let resolver = sketch::GazetteerSketcher::for_gazetteer(self.gazetteer);
         let outcome = sketch::execute_plan(
             plan,
-            window,
+            &sketch::SketchWindow::for_window(window),
             &sketch::MergeParams {
-                kept: &kept,
+                kept,
                 gaz_to_interned: &self.gaz_to_interned,
                 interner: &self.interner,
                 resolver: &resolver,
@@ -1360,127 +1230,15 @@ impl<'g> RefinementPipeline<'g> {
             sketch_bytes: outcome.sketch_bytes,
             ..Default::default()
         });
-        let (mut seg_row, mut seg_col) = (0u64, 0u64);
-        for seg in plan
-            .sketched
-            .iter()
-            .map(|(_, _, s)| s)
-            .chain(plan.tails.iter().map(|(s, _)| s))
-        {
-            if seg.is_columnar() {
-                seg_col += 1;
-            } else {
-                seg_row += 1;
-            }
-        }
-        metrics.scan = Some(ScanMetrics {
-            segments_total: stats.segments as u64,
-            records_stored: stats.records,
-            headers_decoded: outcome.residual_scanned,
-            records_yielded: outcome.residual_scanned,
-            bytes_stored: stats.payload_bytes,
-            segments_row: seg_row,
-            segments_col: seg_col,
-            threads: 1,
-            blocks_per_thread: vec![1],
-            wall: merge_wall,
-            sketch_segments: outcome.sketch_segments,
-            sketch_entries_merged: outcome.entries_merged,
-            records_scanned_residual: outcome.residual_scanned,
-            sketch_bytes: outcome.sketch_bytes,
-            ..Default::default()
-        });
-        metrics.stages.total = total_start.elapsed();
-        self.finish(funnel, outcome.users, kept, metrics)
-    }
-
-    /// Runs the pipeline over the records of `store` whose timestamp falls
-    /// in `window`. With sketches applicable the interior whole days merge
-    /// from per-segment day buckets and only the open tail plus any
-    /// boundary buckets are scanned — cost scales with touched buckets,
-    /// not corpus size. Otherwise the store is scanned with a timestamp
-    /// filter and the configured engine runs on the surviving rows, so
-    /// both paths return byte-identical results (pinned by proptests).
-    pub fn execute_windowed<PI>(
-        &self,
-        profiles: PI,
-        store: &TweetStore,
-        window: TimeWindow,
-    ) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        if let Some(fp) = self.sketch_fingerprint() {
-            if let Some(plan) = sketch::plan_store(store, fp) {
-                let sw = sketch::SketchWindow::for_window(window);
-                return self.run_sketched(profiles, &plan, &sw, store.stats());
-            }
-        }
-        let tweets = store.scan_views().filter_map(move |r| match r {
-            Ok(v) if window.contains(v.header.timestamp) => Some(TweetRow {
-                user: v.header.user,
-                tweet_id: v.header.id,
-                gps: v.header.gps,
-            }),
-            _ => None,
-        });
-        self.run_rows(profiles, tweets)
-    }
-
-    /// [`RefinementPipeline::execute_windowed`] over a sharded store:
-    /// per-shard sketch plans merge under cumulative ordinal bases, or the
-    /// shards' scans chain in shard order through the timestamp filter.
-    pub fn execute_windowed_sharded<PI>(
-        &self,
-        profiles: PI,
-        store: &ShardedStore,
-        window: TimeWindow,
-    ) -> AnalysisResult
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        if let Some(fp) = self.sketch_fingerprint() {
-            if let Some(plan) = sketch::plan_shards(store, fp) {
-                let sw = sketch::SketchWindow::for_window(window);
-                return self.run_sketched(profiles, &plan, &sw, store.stats());
-            }
-        }
-        let tweets = store.shards().iter().flat_map(move |shard| {
-            shard.scan_views().filter_map(move |r| match r {
-                Ok(v) if window.contains(v.header.timestamp) => Some(TweetRow {
-                    user: v.header.user,
-                    tweet_id: v.header.id,
-                    gps: v.header.gps,
-                }),
-                _ => None,
-            })
-        });
-        self.run_rows(profiles, tweets)
-    }
-
-    /// Shared tail of the `run*` entry points: resolve the interned
-    /// profile districts to strings once, at the boundary — downstream
-    /// consumers keep their published String view.
-    fn finish(
-        &self,
-        funnel: CollectionFunnel,
-        users: Vec<GroupedUser>,
-        kept: HashMap<u64, DistrictId>,
-        metrics: PipelineMetrics,
-    ) -> AnalysisResult {
-        let kept_profiles = kept
-            .into_iter()
-            .map(|(user, id)| {
-                let (state, county) = self.interner.resolve(id);
-                (user, (state.to_string(), county.to_string()))
-            })
-            .collect();
-        AnalysisResult {
-            funnel,
-            users,
-            kept_profiles,
-            metrics,
-        }
+        scan.headers_decoded = outcome.residual_scanned;
+        scan.records_yielded = outcome.residual_scanned;
+        scan.blocks_per_thread = vec![1];
+        scan.wall = merge_wall;
+        scan.sketch_segments = outcome.sketch_segments;
+        scan.sketch_entries_merged = outcome.entries_merged;
+        scan.records_scanned_residual = outcome.residual_scanned;
+        scan.sketch_bytes = outcome.sketch_bytes;
+        outcome.users
     }
 }
 
@@ -2161,22 +1919,6 @@ mod tests {
         assert_identical(&by_rows, &by_source);
     }
 
-    /// The deprecated entry points must keep forwarding to `execute` —
-    /// callers on the old API get the new engine, byte for byte.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_shims_forward_to_execute() {
-        let g = gaz();
-        let pipe = RefinementPipeline::with_defaults(g);
-        let (profiles, tweets) = mixed_corpus();
-        let by_execute = pipe.execute(profiles.clone(), tweets.clone());
-        let by_run = pipe.run(profiles.clone(), tweets.clone());
-        assert_identical(&by_execute, &by_run);
-        let source = RowSource::new(tweets.into_iter(), 3);
-        let by_source_shim = pipe.run_from_source(profiles, &source);
-        assert_identical(&by_execute, &by_source_shim);
-    }
-
     /// Zero-valued knobs are rejected at `build()` instead of surfacing as
     /// a hung or degenerate run later.
     #[test]
@@ -2276,6 +2018,66 @@ mod tests {
             let got = on.execute_windowed(profiles.clone(), &store, window);
             assert_eq!(want.funnel, got.funnel, "window {window:?}");
             assert_eq!(want.users, got.users, "window {window:?}");
+        }
+    }
+
+    #[test]
+    fn windowed_store_run_is_fused_and_zone_pruned() {
+        use stir_tweetstore::{StoreFormat, TweetRecord};
+
+        let g = gaz();
+        let profiles = vec![
+            profile(1, "Seoul Yangcheon-gu"),
+            profile(2, "Seoul Gangnam-gu"),
+            profile(3, "Busan Jung-gu"),
+        ];
+        // Time-ordered appends, 12 rows a day over 30 days: small segments
+        // seal in time order, so a 1-day window misses most of them.
+        let pts = [YANGCHEON, GANGNAM, (35.106, 129.032)];
+        let records: Vec<TweetRecord> = (0..360u64)
+            .map(|i| {
+                let (lat, lon) = pts[(i % 3) as usize];
+                TweetRecord {
+                    id: i,
+                    user: 1 + i % 4,
+                    timestamp: i * 7_200,
+                    gps: (i % 5 != 4).then_some(Point::new(lat, lon)),
+                    text: format!("t{i}"),
+                }
+            })
+            .collect();
+        let window = TimeWindow::days(10, 11);
+        let in_window: Vec<TweetRow> = records
+            .iter()
+            .filter(|r| window.contains(r.timestamp))
+            .map(|r| TweetRow {
+                user: r.user,
+                tweet_id: r.id,
+                gps: r.gps,
+            })
+            .collect();
+        let staged = PipelineBuilder::new(g).staged().build().unwrap();
+        let want = staged.execute(profiles.clone(), in_window);
+        let mut single = TweetStore::with_segment_bytes_and_format(1024, StoreFormat::V2);
+        let mut sharded = ShardedStore::with_segment_bytes_and_format(4, 1024, StoreFormat::V2);
+        for r in &records {
+            single.append(r);
+            sharded.append(r);
+        }
+        let fused = RefinementPipeline::with_defaults(g);
+        for got in [
+            fused.execute_windowed(profiles.clone(), &single, window),
+            fused.execute_windowed_sharded(profiles.clone(), &sharded, window),
+            staged.execute_windowed(profiles.clone(), &single, window),
+        ] {
+            assert_identical(&got, &want);
+            let scan = got.metrics.scan.as_ref().expect("windowed runs fill scan");
+            assert!(scan.segments_pruned > 0, "{scan:?}");
+            assert_eq!(
+                scan.records_pruned + scan.headers_decoded + scan.records_corrupt,
+                scan.records_stored
+            );
+            assert_eq!(scan.records_yielded, got.funnel.tweets_total);
         }
     }
 

@@ -47,8 +47,7 @@ use stir_geoindex::Point;
 use stir_geokr::service::Geocoder;
 use stir_tweetstore::persist::PersistError;
 use stir_tweetstore::{
-    append_snapshot, latest_snapshot, shard_of, SegmentRef, ShardedStore, TweetRecord, TweetStore,
-    Wal,
+    append_snapshot, latest_snapshot, shard_of, SegmentRef, TweetRecord, TweetStore, Wal,
 };
 
 use crate::funnel::CollectionFunnel;
@@ -57,7 +56,7 @@ use crate::input::ProfileRow;
 use crate::intern::DistrictId;
 use crate::metrics::PipelineMetrics;
 use crate::pipeline::{resolve_one, AnalysisResult, RefinementPipeline};
-use crate::sketch::{plan_shards, plan_store, SketchPlan};
+use crate::sketch::{self, SketchPlan};
 use crate::topk::TopKGroup;
 
 /// Snapshot payload format version.
@@ -332,61 +331,36 @@ impl<'g> AnalysisSession<'g> {
     }
 
     /// Builds a session whose state already covers every record in
-    /// `store` — the warm-start counterpart of replaying the corpus one
-    /// [`ingest`](AnalysisSession::ingest) at a time.
+    /// `store` — a [`TweetStore`] or a [`stir_tweetstore::ShardedStore`],
+    /// both a slice of shards — the warm-start counterpart of replaying the
+    /// corpus one [`ingest`](AnalysisSession::ingest) at a time.
     ///
     /// When the pipeline opts into sketches (`PipelineBuilder::sketches`,
     /// gazetteer backend) and every sealed segment yields a group sketch,
     /// the sealed bulk of the store is bulk-merged straight from the
     /// per-segment sketches — per-user merged lists reassembled from
-    /// `(count, min global ordinal)` pairs, day rings from the sketch day
+    /// `(count, min global ordinal)` pairs (ordinals accumulate in shard
+    /// order, matching the batch scan), day rings from the sketch day
     /// buckets, funnel counters from the day totals — and only the open
-    /// tail replays record-wise. Otherwise the whole store replays.
-    /// Either way the resulting session answers queries identically to a
-    /// cold session fed the same records in order.
-    pub fn from_store<PI>(
-        pipeline: RefinementPipeline<'g>,
-        profiles: PI,
-        store: &TweetStore,
-    ) -> Self
+    /// tails replay record-wise. Otherwise the whole store replays, shard
+    /// by shard. Either way the resulting session answers queries
+    /// identically to a cold session fed the same records in order.
+    pub fn from_store<PI, S>(pipeline: RefinementPipeline<'g>, profiles: PI, store: &S) -> Self
     where
         PI: IntoIterator<Item = ProfileRow>,
+        S: AsRef<[TweetStore]> + ?Sized,
     {
         let mut session = Self::new(pipeline, profiles);
+        let shards = store.as_ref();
         match session
             .pipeline
             .sketch_fingerprint()
-            .and_then(|fp| plan_store(store, fp))
-        {
-            Some(plan) => session.warm_start(&plan),
-            None => session.replay_segments(store),
-        }
-        session
-    }
-
-    /// [`AnalysisSession::from_store`] over a sharded store: sealed
-    /// segments bulk-merge from sketches shard by shard (global ordinals
-    /// accumulate in shard order, matching the batch scan), tails replay
-    /// record-wise. Falls back to a full replay when any shard is missing
-    /// a sketch or the pipeline does not opt into them.
-    pub fn from_shards<PI>(
-        pipeline: RefinementPipeline<'g>,
-        profiles: PI,
-        store: &ShardedStore,
-    ) -> Self
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        let mut session = Self::new(pipeline, profiles);
-        match session
-            .pipeline
-            .sketch_fingerprint()
-            .and_then(|fp| plan_shards(store, fp))
+            .and_then(|fp| sketch::plan(shards, fp))
         {
             Some(plan) => session.warm_start(&plan),
             None => {
-                for shard in store.shards() {
-                    session.replay_segments(shard);
+                for seg in shards.iter().flat_map(|s| s.segments()) {
+                    session.replay_one(&seg);
                 }
             }
         }
@@ -500,14 +474,6 @@ impl<'g> AnalysisSession<'g> {
                     ring,
                 },
             );
-        }
-    }
-
-    /// Replays every decodable record of `store` through the ordinary
-    /// ingest path — the cold fallback when sketches are unavailable.
-    fn replay_segments(&mut self, store: &TweetStore) {
-        for seg in store.segments() {
-            self.replay_one(&seg);
         }
     }
 
@@ -1339,14 +1305,17 @@ mod tests {
     fn warm_start_from_shards_matches_single_store() {
         let g = gaz();
         let records = warm_corpus();
-        let mut sharded =
-            ShardedStore::with_segment_bytes_and_format(4, 512, stir_tweetstore::StoreFormat::V2);
+        let mut sharded = stir_tweetstore::ShardedStore::with_segment_bytes_and_format(
+            4,
+            512,
+            stir_tweetstore::StoreFormat::V2,
+        );
         sharded.set_sketcher(std::sync::Arc::new(crate::sketch::GazetteerSketcher::new()));
         for r in &records {
             sharded.append(r);
         }
         let sketched = PipelineBuilder::new(g).sketches(true).build().unwrap();
-        let warm = AnalysisSession::from_shards(sketched, profiles(), &sharded);
+        let warm = AnalysisSession::from_store(sketched, profiles(), &sharded);
         let single = AnalysisSession::from_store(
             PipelineBuilder::new(g).sketches(true).build().unwrap(),
             profiles(),

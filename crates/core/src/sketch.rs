@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use stir_geoindex::Point;
 use stir_geokr::Gazetteer;
-use stir_tweetstore::{GroupSketch, SegmentRef, ShardedStore, SketchResolver, TweetStore, ZoneMap};
+use stir_tweetstore::{GroupSketch, SegmentRef, SketchResolver, TweetStore, ZoneMap};
 
 use crate::grouping::{materialize_user, merged_cmp, GroupedUser, MergedId, TieBreak};
 use crate::intern::{DistrictId, DistrictInterner};
@@ -149,52 +149,32 @@ pub(crate) struct SketchPlan<'s> {
     pub(crate) tails: Vec<(SegmentRef<'s>, u64)>,
 }
 
-/// Plans a sketch-complete query over one store: `Some` only when *every*
-/// sealed segment yields a sketch under `fingerprint` (persisted sidecar
-/// or lazily built); any gap means the whole query falls back to the scan
-/// engines.
-pub(crate) fn plan_store(store: &TweetStore, fingerprint: u64) -> Option<SketchPlan<'_>> {
+/// Plans a sketch-complete query over a shard slice (a single store is a
+/// one-shard slice): `Some` only when *every* sealed segment yields a
+/// sketch under `fingerprint` (persisted sidecar or lazily built); any gap
+/// means the whole query falls back to the scan engines. Ordinal bases
+/// accumulate segment by segment, shard by shard.
+pub(crate) fn plan(stores: &[TweetStore], fingerprint: u64) -> Option<SketchPlan<'_>> {
     let mut plan = SketchPlan {
         sketched: Vec::new(),
         tails: Vec::new(),
     };
     let mut base = 0u64;
-    extend_plan(&mut plan, store, fingerprint, &mut base)?;
-    Some(plan)
-}
-
-/// [`plan_store`] over every shard, shard order, cumulative ordinal bases.
-pub(crate) fn plan_shards(store: &ShardedStore, fingerprint: u64) -> Option<SketchPlan<'_>> {
-    let mut plan = SketchPlan {
-        sketched: Vec::new(),
-        tails: Vec::new(),
-    };
-    let mut base = 0u64;
-    for shard in store.shards() {
-        extend_plan(&mut plan, shard, fingerprint, &mut base)?;
-    }
-    Some(plan)
-}
-
-fn extend_plan<'s>(
-    plan: &mut SketchPlan<'s>,
-    store: &'s TweetStore,
-    fingerprint: u64,
-    base: &mut u64,
-) -> Option<()> {
-    let segments = store.segments();
-    let last = segments.len() - 1;
-    for (i, seg) in segments.into_iter().enumerate() {
-        if i == last {
-            // The active tail is mutable and never sketched.
-            plan.tails.push((seg, *base));
-        } else {
-            plan.sketched
-                .push((store.sketch_for(i, fingerprint)?, *base, seg));
+    for store in stores {
+        let segments = store.segments();
+        let last = segments.len() - 1;
+        for (i, seg) in segments.into_iter().enumerate() {
+            if i == last {
+                // The active tail is mutable and never sketched.
+                plan.tails.push((seg, base));
+            } else {
+                plan.sketched
+                    .push((store.sketch_for(i, fingerprint)?, base, seg));
+            }
+            base += seg.len() as u64;
         }
-        *base += seg.len() as u64;
     }
-    Some(())
+    Some(plan)
 }
 
 /// A [`TimeWindow`] decomposed into whole day buckets (answered from
@@ -215,6 +195,9 @@ pub(crate) enum SketchWindow {
 
 impl SketchWindow {
     pub(crate) fn for_window(w: TimeWindow) -> SketchWindow {
+        if w == TimeWindow::ALL {
+            return SketchWindow::All;
+        }
         if w.start >= w.end {
             return SketchWindow::Days {
                 full: (0, 0),

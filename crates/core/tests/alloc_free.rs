@@ -51,12 +51,16 @@ fn keys(interner: &mut DistrictInterner, n: usize, districts: usize) -> Vec<Loca
         .collect()
 }
 
-/// Serializes the measuring sections: the harness runs tests on parallel
-/// threads, and a concurrent test's allocations would land in our window.
+/// Serializes the tests: the harness runs them on parallel threads, and a
+/// concurrent test's allocations — its set-up included — would land in
+/// our window. Every test holds it from its first line.
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    MEASURE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let _guard = MEASURE.lock().unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
@@ -64,6 +68,7 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 #[test]
 fn merge_loop_allocation_count_is_independent_of_tweet_count() {
+    let _serial = serial();
     let mut interner = DistrictInterner::new();
     let small = keys(&mut interner, 1_000, 8);
     let large = keys(&mut interner, 100_000, 8);
@@ -96,43 +101,61 @@ fn merge_loop_allocation_count_is_independent_of_tweet_count() {
 }
 
 #[test]
-fn warm_online_push_key_and_rank_queries_are_allocation_free() {
-    use stir_core::{OnlineGrouping, TieBreak as Tb};
+fn warm_session_ingest_and_rank_queries_are_allocation_free() {
+    let _serial = serial();
+    use stir_core::{AnalysisSession, PipelineBuilder, ProfileRow};
+    use stir_geoindex::Point;
+    use stir_geokr::Gazetteer;
 
-    let mut og = OnlineGrouping::with_tie_break(Tb::FirstSeen);
-    let profile = og.intern_district("Seoul", "District-0");
-    let districts: Vec<_> = (0..8)
-        .map(|d| og.intern_district("Seoul", &format!("District-{d}")))
-        .collect();
-    // Warm-up: visit every district once so each user's merged list has
-    // reached its final length (and the HashMap its final capacity).
+    const DAY: u64 = 86_400;
+    let gazetteer = Gazetteer::load();
+    let pipeline = PipelineBuilder::new(&gazetteer).threads(1).build().unwrap();
+    let profiles = (0..16u64).map(|user| ProfileRow {
+        user,
+        location_text: "Seoul Yangcheon-gu".into(),
+    });
+    let mut session = AnalysisSession::new(pipeline, profiles);
+    let spots = [
+        Point::new(37.517, 126.866), // Yangcheon-gu
+        Point::new(37.517, 127.047), // Gangnam-gu
+        Point::new(35.106, 129.032), // Busan Jung-gu
+        Point::new(37.345, 126.968), // Uiwang-si
+    ];
+    // Warm-up: every user tweets from every district on every day, so each
+    // merged list, day ring and bucket — and the geocoder cache — has
+    // reached its final size.
     for user in 0..16u64 {
-        for &d in &districts {
-            og.push_key(og.key(user, profile, d));
+        for day in 0..3 {
+            for &p in &spots {
+                session.ingest(user, day * DAY, Some(p));
+            }
         }
     }
 
-    // Steady state: 50k pushes + a rank query each, zero heap traffic.
-    // This is the regression the deprecated string shim motivated — the
-    // old path cloned `(String, String)` per matched-rank lookup.
-    let (_, allocs) = allocations_during(|| {
+    // Steady state: 50k ingests + a rank query each, zero heap traffic.
+    let (last, allocs) = allocations_during(|| {
         let mut last = None;
         for i in 0..50_000u64 {
             let user = i % 16;
-            let d = districts[(i % districts.len() as u64) as usize];
-            og.push_key(og.key(user, profile, d));
-            last = og.group_of(user);
+            session.ingest(
+                user,
+                (i % 3) * DAY + i % 1000,
+                Some(spots[(i % 4) as usize]),
+            );
+            last = session.group_of(user);
         }
         last
     });
+    assert!(last.is_some());
     assert_eq!(
         allocs, 0,
-        "warm push_key/group_of allocated {allocs} times over 50k updates"
+        "warm ingest/group_of allocated {allocs} times over 50k tweets"
     );
 }
 
 #[test]
 fn merge_loop_allocations_scale_with_district_count_only() {
+    let _serial = serial();
     let mut interner = DistrictInterner::new();
     let narrow = keys(&mut interner, 50_000, 4);
     let wide = keys(&mut interner, 50_000, 64);

@@ -3,10 +3,10 @@
 //! The paper's pipeline sat on a real 2011 free-tier API whose failure
 //! surface was much wider than "quota" and "bad XML": requests vanished,
 //! responses crawled in past any sane deadline, and client-side budgets ran
-//! dry mid-experiment. [`GeocodeError`] absorbs the old `YahooError`
-//! variants ([`QuotaExceeded`](GeocodeError::QuotaExceeded),
-//! [`MalformedResponse`](GeocodeError::MalformedResponse)) and adds the
-//! service-layer failure modes so every [`crate::service::Geocoder`]
+//! dry mid-experiment. [`GeocodeError`] covers the endpoint's own failures
+//! ([`QuotaExceeded`](GeocodeError::QuotaExceeded),
+//! [`MalformedResponse`](GeocodeError::MalformedResponse)) and the
+//! service-layer failure modes, so every [`crate::service::Geocoder`]
 //! backend — mock endpoint, resilient decorator, local gazetteer — returns
 //! the same enum.
 
@@ -26,10 +26,9 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GeocodeError {
     /// The endpoint's daily quota is spent; carries the configured limit.
-    /// (Server-side 403; the old `YahooError::QuotaExceeded`.)
+    /// (Server-side 403.)
     QuotaExceeded(u64),
-    /// The response XML could not be parsed (the old
-    /// `YahooError::MalformedResponse`).
+    /// The response XML could not be parsed.
     MalformedResponse(String),
     /// No response arrived inside the per-call deadline; carries the
     /// simulated milliseconds the caller waited before giving up.

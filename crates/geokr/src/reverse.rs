@@ -123,7 +123,7 @@ impl<'g> ReverseGeocoder<'g> {
         crate::service::GeocoderBuilder::new(gazetteer)
     }
 
-    /// The real constructor behind the builder and the deprecated shims.
+    /// The real constructor behind the builder.
     pub(crate) fn assemble(gazetteer: &'g Gazetteer, capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1).next_power_of_two();
         ReverseGeocoder {
@@ -139,39 +139,6 @@ impl<'g> ReverseGeocoder<'g> {
             resolved: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// A geocoder with the default cache capacity (1M quantized cells).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ReverseGeocoder::builder(gazetteer).build_reverse()`"
-    )]
-    pub fn new(gazetteer: &'g Gazetteer) -> Self {
-        Self::builder(gazetteer).build_reverse()
-    }
-
-    /// A geocoder with an explicit total cache capacity, split across the
-    /// default shard count.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ReverseGeocoder::builder(gazetteer).capacity(..).build_reverse()`"
-    )]
-    pub fn with_capacity(gazetteer: &'g Gazetteer, capacity: usize) -> Self {
-        Self::builder(gazetteer).capacity(capacity).build_reverse()
-    }
-
-    /// A geocoder with explicit capacity and shard count (rounded up to a
-    /// power of two). `shards = 1` reproduces the old single-lock layout,
-    /// which the contention benchmark uses as its baseline.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ReverseGeocoder::builder(gazetteer).capacity(..).shards(..).build_reverse()`"
-    )]
-    pub fn with_shards(gazetteer: &'g Gazetteer, capacity: usize, shards: usize) -> Self {
-        Self::builder(gazetteer)
-            .capacity(capacity)
-            .shards(shards)
-            .build_reverse()
     }
 
     /// Number of cache shards.
@@ -482,33 +449,6 @@ mod tests {
         assert_eq!(single.shard_count(), 1);
         let many = ReverseGeocoder::builder(&g).shards(9).build_reverse();
         assert_eq!(many.shard_count(), 16);
-    }
-
-    /// The deprecated positional constructors must keep building the exact
-    /// same layouts the builder does — seed code compiled against them
-    /// still works.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        let g = Gazetteer::load();
-        let p = Point::new(37.517, 127.047);
-        let via_new = ReverseGeocoder::new(&g);
-        let via_builder = ReverseGeocoder::builder(&g).build_reverse();
-        assert_eq!(via_new.shard_count(), via_builder.shard_count());
-        assert_eq!(via_new.resolve(p), via_builder.resolve(p));
-        let shimmed = ReverseGeocoder::with_shards(&g, 1 << 10, 4);
-        let built = ReverseGeocoder::builder(&g)
-            .capacity(1 << 10)
-            .shards(4)
-            .build_reverse();
-        assert_eq!(shimmed.shard_count(), built.shard_count());
-        assert_eq!(
-            ReverseGeocoder::with_capacity(&g, 64).resolve(p),
-            ReverseGeocoder::builder(&g)
-                .capacity(64)
-                .build_reverse()
-                .resolve(p)
-        );
     }
 
     #[test]

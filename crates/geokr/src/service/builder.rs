@@ -1,13 +1,10 @@
 //! The one construction surface for every geocoding backend.
 //!
-//! The old positional constructors (`ReverseGeocoder::{new, with_capacity,
-//! with_shards}`) stopped scaling the moment backends multiplied: a
-//! resilient Yahoo-backed geocoder needs a cache capacity *and* a shard
+//! A resilient Yahoo-backed geocoder needs a cache capacity *and* a shard
 //! count *and* a fault plan *and* a retry policy, and positional arguments
-//! can't say which is which. [`GeocoderBuilder`] replaces them —
+//! can't say which is which. [`GeocoderBuilder`] names each knob —
 //! `.capacity(..)`, `.shards(..)`, `.backend(..)` — and is what the service
-//! layer, the analysis pipeline and the benches all construct through. The
-//! old constructors survive as deprecated shims over the builder.
+//! layer, the analysis pipeline and the benches all construct through.
 
 use std::fmt;
 use std::str::FromStr;

@@ -27,12 +27,6 @@ use crate::location::LocationRecord;
 use crate::reverse::ReverseGeocoder;
 use crate::service::{Fault, FaultPlan};
 
-/// The old name of [`GeocodeError`], kept so seed code compiles unchanged.
-/// The variants it used (`QuotaExceeded`, `MalformedResponse`) still exist
-/// under the same names.
-#[deprecated(since = "0.1.0", note = "renamed to `stir_geokr::GeocodeError`")]
-pub type YahooError = GeocodeError;
-
 /// Simulated wait before a client gives up on a dropped request when no
 /// explicit deadline is configured on the endpoint.
 const DROP_WAIT_MS: u64 = 1_000;
@@ -398,16 +392,6 @@ mod tests {
         api.reset_quota();
         assert!(api.lookup(p).is_ok());
         assert_eq!(api.simulated_ms(), 400);
-    }
-
-    /// The deprecated alias still names the same enum, variants included.
-    #[test]
-    #[allow(deprecated)]
-    fn yahoo_error_alias_still_compiles() {
-        let g = Gazetteer::load();
-        let api = YahooPlaceFinder::with_limits(&g, 0, 100);
-        let e: YahooError = api.lookup(Point::new(37.517, 127.047)).unwrap_err();
-        assert_eq!(e, YahooError::QuotaExceeded(0));
     }
 
     #[test]

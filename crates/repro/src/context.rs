@@ -30,7 +30,7 @@ pub struct Options {
     pub faults: FaultPlan,
     /// Print pipeline stage timings / geocode throughput after each run.
     pub verbose: bool,
-    /// Route tweets through a `TweetStore` and the zero-copy store scan
+    /// Route tweets through a tweet store and the zero-copy store scan
     /// instead of feeding rows directly (`--from-store`).
     pub from_store: bool,
     /// With `--from-store`: split the store into this many user-hash
@@ -136,14 +136,17 @@ pub fn analyse(spec: DatasetSpec, gazetteer: &'static Gazetteer, opts: &Options)
         user: u.id.0,
         location_text: u.location_text.clone(),
     });
-    let result = if opts.from_store && opts.shards > 1 {
-        // Sharded store path: same ingest, but records land in
-        // `--shards` user-hash shards and the pipeline consumes the
-        // cross-shard scatter-gather scan. Every user's records stay in
-        // one shard in append order, so figure output is byte-identical
-        // to the single-store (and direct) path.
-        let mut store = stir_tweetstore::ShardedStore::new(opts.shards);
-        store.set_format(opts.store_format);
+    let result = if opts.from_store {
+        // Store-backed path: ingest the corpus into `--shards` user-hash
+        // shards (one by default — a single store is a one-shard store),
+        // then stream it back out through the zero-copy header scan. Every
+        // user's records stay in one shard in append order, so figure
+        // output is byte-identical to the direct path at any shard count.
+        let mut store = stir_tweetstore::ShardedStore::with_segment_bytes_and_format(
+            opts.shards,
+            stir_tweetstore::segment::DEFAULT_SEGMENT_BYTES,
+            opts.store_format,
+        );
         if opts.sketches {
             // Installed before ingest, so every seal sketches itself.
             store.set_sketcher(std::sync::Arc::new(stir_core::GazetteerSketcher::new()));
@@ -165,33 +168,6 @@ pub fn analyse(spec: DatasetSpec, gazetteer: &'static Gazetteer, opts: &Options)
             store.shard_count(),
             stats.segments,
             stats.payload_bytes,
-            store.format().as_str()
-        );
-        pipeline.execute(profiles, &store)
-    } else if opts.from_store {
-        // Store-backed path: ingest the corpus into a TweetStore, then
-        // stream it back out through the zero-copy header scan. Append
-        // order equals the row-based iteration order, so figure output is
-        // byte-identical to the direct path.
-        let mut store = stir_tweetstore::TweetStore::with_format(opts.store_format);
-        if opts.sketches {
-            store.set_sketcher(std::sync::Arc::new(stir_core::GazetteerSketcher::new()));
-        }
-        dataset.for_each_tweet(gazetteer, |t| {
-            store.append(&stir_tweetstore::TweetRecord {
-                id: t.id.0,
-                user: t.user.0,
-                timestamp: t.timestamp,
-                gps: t.gps,
-                text: t.text.clone(),
-            });
-        });
-        eprintln!(
-            "[{}] store: {} records in {} segment(s), {} payload bytes, format {}",
-            label,
-            store.len(),
-            store.stats().segments,
-            store.stats().payload_bytes,
             store.format().as_str()
         );
         pipeline.execute(profiles, &store)

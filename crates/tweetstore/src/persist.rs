@@ -171,6 +171,30 @@ pub fn save(store: &TweetStore, dir: &Path) -> Result<(), PersistError> {
         manifest.push('\n');
     }
     fs::write(dir.join(MANIFEST), manifest)?;
+    remove_stale(dir, "seg-", ".stir", segments.len())?;
+    Ok(())
+}
+
+/// Deletes the `{prefix}N{suffix}` entries of `dir` numbered `live` or
+/// higher: what an earlier save of a larger store left behind, which the
+/// manifest just written no longer lists.
+pub(crate) fn remove_stale(dir: &Path, prefix: &str, suffix: &str, live: usize) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let index = path.file_name().and_then(|n| n.to_str()).and_then(|n| {
+            n.strip_prefix(prefix)?
+                .strip_suffix(suffix)?
+                .parse::<usize>()
+                .ok()
+        });
+        if index.is_some_and(|i| i >= live) {
+            if path.is_dir() {
+                fs::remove_dir_all(&path)?;
+            } else {
+                fs::remove_file(&path)?;
+            }
+        }
+    }
     Ok(())
 }
 
@@ -295,6 +319,43 @@ mod tests {
         let a = Query::all().user(3).execute(&s);
         let b = Query::all().user(3).execute(&loaded);
         assert_eq!(a, b);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store whose segment list (active tail included) is `n` long.
+    fn with_segments(n: usize, first_id: u64) -> TweetStore {
+        let mut s = TweetStore::with_segment_bytes(1024);
+        for id in first_id.. {
+            if s.segments().len() == n {
+                break;
+            }
+            s.append(&TweetRecord {
+                id,
+                user: id % 7,
+                timestamp: id,
+                gps: None,
+                text: format!("resave {id}"),
+            });
+        }
+        s
+    }
+
+    #[test]
+    fn resaving_a_smaller_store_removes_stale_segment_files() {
+        let dir = tmpdir("resave");
+        save(&with_segments(5, 0), &dir).unwrap();
+        let second = with_segments(2, 10_000);
+        save(&second, &dir).unwrap();
+        let mut names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["MANIFEST", "seg-0000.stir", "seg-0001.stir"]);
+        let loaded = load_with_segment_bytes(&dir, 1024).unwrap();
+        assert_eq!(loaded.stats(), second.stats());
+        let ids = |s: &TweetStore| s.scan().map(|r| r.unwrap()).collect::<Vec<_>>();
+        assert_eq!(ids(&loaded), ids(&second));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -24,8 +24,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::codec::{TweetHeader, TweetView};
-use crate::colseg::COL_HEADER_BYTES;
+use crate::colseg::{ColumnSegment, COL_HEADER_BYTES};
 use crate::query::Query;
+use crate::segment::Segment;
 use crate::store::{SegmentRef, TweetStore};
 use crate::wal::WalRecovery;
 
@@ -480,32 +481,36 @@ where
     (out, m)
 }
 
-/// A thread-safe, block-granular header reader over a whole store — the
-/// store-side half of a fused pipeline: many workers call
-/// [`HeaderBlocks::next_block_with`] concurrently, each draw decodes one
+/// A thread-safe, block-granular header reader over a slice of shards —
+/// the store-side half of a fused pipeline. Many workers call
+/// [`HeaderBlocks::next_block_mixed`] concurrently; each draw decodes one
 /// block of record **headers** (the text stays untouched in the segment
 /// buffers, exactly like [`TweetStore::scan_views`]) straight into the
-/// caller's reusable buffer. Blocks are laid out in `(segment, slot)`
-/// order at construction, an atomic cursor hands them out, and every
-/// block carries the global *ordinal* (slot position across the whole
-/// store) of its first slot. A corrupt record is skipped and counted;
-/// ordinals of later rows in that block shift down but stay strictly
-/// increasing and unique across the store — which is all a
-/// determinism-by-ordinal consumer needs, since serial replay skips the
-/// same records in the same order.
+/// caller's sink.
+///
+/// Any `S: AsRef<[TweetStore]>` lays out: a [`TweetStore`] is a one-shard
+/// slice, a [`crate::ShardedStore`] its shards. Blocks are laid out shard
+/// by shard in `(segment, slot)` order, an atomic cursor hands them out,
+/// and every block carries the *ordinal* of its first slot — its slot
+/// position across the whole slice, each shard starting where the one
+/// before it ends. Ordinals are therefore unique across the slice, and
+/// each user's records (confined to one shard by placement) keep
+/// ascending ordinals in append order.
+///
+/// [`HeaderBlocks::between`] narrows the layout to a time window: segments
+/// whose [`crate::ZoneMap`] misses it are never laid out, and in segments
+/// straddling a bound the rows outside it are skipped and counted as
+/// rejected. A corrupt record is skipped and counted too. Either skip
+/// shifts the later ordinals of its block down but keeps them strictly
+/// increasing and unique — which is all a determinism-by-ordinal consumer
+/// needs, since a serial replay skips the same records in the same order.
 pub struct HeaderBlocks<'s> {
     blocks: Vec<HeaderBlock<'s>>,
     cursor: AtomicUsize,
     block_records: usize,
-    records: u64,
-    segments: u64,
-    segments_row: u64,
-    segments_col: u64,
-    headers_decoded: AtomicU64,
-    records_corrupt: AtomicU64,
-    bytes_decoded: AtomicU64,
-    col_bytes_read: AtomicU64,
-    row_bytes_equiv: AtomicU64,
+    start: u64,
+    end: u64,
+    shards: Vec<ShardCounts>,
 }
 
 struct HeaderBlock<'s> {
@@ -513,6 +518,28 @@ struct HeaderBlock<'s> {
     lo: u32,
     hi: u32,
     first_ordinal: u64,
+    shard: usize,
+    /// The segment straddles a window bound: each row's timestamp is
+    /// checked.
+    filter: bool,
+}
+
+/// One shard's pruning and the draws charged to it so far.
+#[derive(Default)]
+struct ShardCounts {
+    segments_pruned: u64,
+    records_pruned: u64,
+    headers_decoded: AtomicU64,
+    records_rejected: AtomicU64,
+    records_corrupt: AtomicU64,
+    bytes_decoded: AtomicU64,
+    col_bytes_read: AtomicU64,
+    row_bytes_equiv: AtomicU64,
+}
+
+/// `ts < end`, with `end = u64::MAX` read as no upper bound.
+fn below(ts: u64, end: u64) -> bool {
+    ts < end || end == u64::MAX
 }
 
 /// One columnar block's rows as borrowed primitive slices — what
@@ -562,163 +589,204 @@ pub enum BlockChunk<'a> {
 }
 
 impl<'s> HeaderBlocks<'s> {
-    /// Chunks every segment of `store` into blocks of at most
-    /// `block_records` slots (min 1), in `(segment, slot)` order.
-    pub fn new(store: &'s TweetStore, block_records: usize) -> Self {
+    /// Chunks every segment of every shard of `store` into blocks of at
+    /// most `block_records` slots (min 1): the full time range.
+    pub fn new<S: AsRef<[TweetStore]> + ?Sized>(store: &'s S, block_records: usize) -> Self {
+        Self::between(store, block_records, 0, u64::MAX)
+    }
+
+    /// [`HeaderBlocks::new`] narrowed to timestamps in `[start, end)`, with
+    /// `end = u64::MAX` leaving the window open above — so `new` is exactly
+    /// the window `[0, u64::MAX)`. Segments the window misses are pruned,
+    /// and only those straddling a bound pay a per-row timestamp check.
+    pub fn between<S: AsRef<[TweetStore]> + ?Sized>(
+        store: &'s S,
+        block_records: usize,
+        start: u64,
+        end: u64,
+    ) -> Self {
         let block_records = block_records.max(1);
         let step = block_records as u32;
         let mut blocks = Vec::new();
+        let mut shards = Vec::new();
         let mut ordinal = 0u64;
-        let mut segments_row = 0u64;
-        let mut segments_col = 0u64;
-        let segments = store.segments();
-        for &seg in &segments {
-            if seg.is_columnar() {
-                segments_col += 1;
-            } else {
-                segments_row += 1;
+        for (shard, s) in store.as_ref().iter().enumerate() {
+            let mut counts = ShardCounts::default();
+            for seg in s.segments() {
+                let len = seg.len() as u32;
+                let zone = seg.zone_map();
+                if len > 0 && (zone.max_ts < start || !below(zone.min_ts, end)) {
+                    counts.segments_pruned += 1;
+                    counts.records_pruned += len as u64;
+                } else {
+                    let filter = zone.min_ts < start || !below(zone.max_ts, end);
+                    let mut lo = 0u32;
+                    while lo < len {
+                        let hi = (lo + step).min(len);
+                        blocks.push(HeaderBlock {
+                            seg,
+                            lo,
+                            hi,
+                            first_ordinal: ordinal + lo as u64,
+                            shard,
+                            filter,
+                        });
+                        lo = hi;
+                    }
+                }
+                ordinal += len as u64;
             }
-            let len = seg.len() as u32;
-            let mut lo = 0u32;
-            while lo < len {
-                let hi = (lo + step).min(len);
-                blocks.push(HeaderBlock {
-                    seg,
-                    lo,
-                    hi,
-                    first_ordinal: ordinal + lo as u64,
-                });
-                lo = hi;
-            }
-            ordinal += len as u64;
+            shards.push(counts);
         }
         HeaderBlocks {
             blocks,
             cursor: AtomicUsize::new(0),
             block_records,
-            records: ordinal,
-            segments: segments.len() as u64,
-            segments_row,
-            segments_col,
-            headers_decoded: AtomicU64::new(0),
-            records_corrupt: AtomicU64::new(0),
-            bytes_decoded: AtomicU64::new(0),
-            col_bytes_read: AtomicU64::new(0),
-            row_bytes_equiv: AtomicU64::new(0),
+            start,
+            end,
+            shards,
         }
     }
 
-    /// Charges a columnar block's reads to the counters: `per_row` column
-    /// bytes for each row, and the segment's row header bytes pro-rated
-    /// over the rows as the row-path equivalent.
-    fn charge_columnar(&self, c: &crate::colseg::ColumnSegment, rows: u64, per_row: u64) {
-        self.headers_decoded.fetch_add(rows, Ordering::Relaxed);
-        self.bytes_decoded
+    /// Whether `ts` lies in the window.
+    fn admits(&self, ts: u64) -> bool {
+        ts >= self.start && below(ts, self.end)
+    }
+
+    /// Hands out the next block, or `None` when the slice is drained.
+    fn draw(&self) -> Option<&HeaderBlock<'s>> {
+        self.blocks.get(self.cursor.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Decodes a row block's headers into `sink` in slot order, skipping
+    /// corrupt records and — when the block straddles a window bound —
+    /// out-of-window ones.
+    fn drain_rows(&self, block: &HeaderBlock<'_>, s: &Segment, mut sink: impl FnMut(&TweetHeader)) {
+        let (mut decoded, mut rejected, mut corrupt, mut bytes) = (0u64, 0u64, 0u64, 0u64);
+        for slot in block.lo..block.hi {
+            match s.view(slot) {
+                Ok(view) => {
+                    decoded += 1;
+                    bytes += view.header_len() as u64;
+                    if block.filter && !self.admits(view.header.timestamp) {
+                        rejected += 1;
+                    } else {
+                        sink(&view.header);
+                    }
+                }
+                Err(_) => corrupt += 1,
+            }
+        }
+        let c = &self.shards[block.shard];
+        c.headers_decoded.fetch_add(decoded, Ordering::Relaxed);
+        c.records_rejected.fetch_add(rejected, Ordering::Relaxed);
+        c.records_corrupt.fetch_add(corrupt, Ordering::Relaxed);
+        c.bytes_decoded.fetch_add(bytes, Ordering::Relaxed);
+        c.row_bytes_equiv.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Charges a columnar block's reads to its shard: `per_row` column
+    /// bytes for each row examined, and the segment's row header bytes
+    /// pro-rated over those rows as the row-path equivalent.
+    fn charge_columnar(
+        &self,
+        block: &HeaderBlock<'_>,
+        c: &ColumnSegment,
+        rejected: u64,
+        per_row: u64,
+    ) {
+        let rows = (block.hi - block.lo) as u64;
+        let counts = &self.shards[block.shard];
+        counts.headers_decoded.fetch_add(rows, Ordering::Relaxed);
+        counts
+            .records_rejected
+            .fetch_add(rejected, Ordering::Relaxed);
+        counts
+            .bytes_decoded
             .fetch_add(rows * per_row, Ordering::Relaxed);
-        self.col_bytes_read
+        counts
+            .col_bytes_read
             .fetch_add(rows * per_row, Ordering::Relaxed);
         if !c.is_empty() {
-            self.row_bytes_equiv.fetch_add(
+            counts.row_bytes_equiv.fetch_add(
                 c.row_header_bytes() * rows / c.len() as u64,
                 Ordering::Relaxed,
             );
         }
     }
 
-    /// Draws the next block and hands every decoded header to `sink`, in
-    /// slot order. Returns the first slot's global ordinal, or `None` when
-    /// the store is drained. Columnar blocks assemble headers from their
-    /// columns; consumers that can take raw columns should prefer
+    /// Draws the next block and hands every decoded, in-window header to
+    /// `sink`, in slot order. Returns the first slot's ordinal, or `None`
+    /// when the slice is drained. Columnar blocks assemble headers from
+    /// their columns; consumers that can take raw columns should prefer
     /// [`HeaderBlocks::next_block_mixed`], which skips even that.
     pub fn next_block_headers(&self, mut sink: impl FnMut(&TweetHeader)) -> Option<u64> {
-        let b = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let block = self.blocks.get(b)?;
+        let block = self.draw()?;
         match block.seg {
-            SegmentRef::Rows(s) => {
-                let mut decoded = 0u64;
-                let mut corrupt = 0u64;
-                let mut bytes = 0u64;
+            SegmentRef::Rows(s) => self.drain_rows(block, s, sink),
+            SegmentRef::Cols(c) => {
+                let mut rejected = 0u64;
                 for slot in block.lo..block.hi {
-                    match s.view(slot) {
-                        Ok(view) => {
-                            decoded += 1;
-                            bytes += view.header_len() as u64;
-                            sink(&view.header);
-                        }
-                        Err(_) => corrupt += 1,
+                    let h = c.header(slot);
+                    if block.filter && !self.admits(h.timestamp) {
+                        rejected += 1;
+                    } else {
+                        sink(&h);
                     }
                 }
-                self.headers_decoded.fetch_add(decoded, Ordering::Relaxed);
-                self.records_corrupt.fetch_add(corrupt, Ordering::Relaxed);
-                self.bytes_decoded.fetch_add(bytes, Ordering::Relaxed);
-                self.row_bytes_equiv.fetch_add(bytes, Ordering::Relaxed);
-            }
-            SegmentRef::Cols(c) => {
-                for slot in block.lo..block.hi {
-                    sink(&c.header(slot));
-                }
-                self.charge_columnar(c, (block.hi - block.lo) as u64, COL_HEADER_BYTES as u64);
+                self.charge_columnar(block, c, rejected, COL_HEADER_BYTES as u64);
             }
         }
         Some(block.first_ordinal)
     }
 
     /// Draws the next block through the format-aware direct path: a
-    /// columnar block is handed to `sink` as one
-    /// [`BlockChunk::Columns`] of borrowed primitive slices (zero
-    /// per-record work — no header is ever assembled), a row block decodes
-    /// headers into per-record [`BlockChunk::Header`] calls exactly like
+    /// columnar block reaches `sink` as [`BlockChunk::Columns`] of borrowed
+    /// primitive slices (zero per-record work — no header is ever
+    /// assembled; a block straddling a window bound arrives as one chunk
+    /// per run of in-window rows), a row block decodes headers into
+    /// per-record [`BlockChunk::Header`] calls exactly like
     /// [`HeaderBlocks::next_block_headers`]. Returns the first slot's
-    /// global ordinal, or `None` when the store is drained. Both paths
-    /// visit identical logical rows in identical order, so a consumer
-    /// that treats them uniformly stays byte-identical across formats.
+    /// ordinal, or `None` when the slice is drained. Both paths visit
+    /// identical logical rows in identical order, so a consumer that treats
+    /// them uniformly stays byte-identical across formats.
     pub fn next_block_mixed(&self, mut sink: impl FnMut(BlockChunk<'_>)) -> Option<u64> {
-        let b = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let block = self.blocks.get(b)?;
+        let block = self.draw()?;
         match block.seg {
-            SegmentRef::Rows(s) => {
-                let mut decoded = 0u64;
-                let mut corrupt = 0u64;
-                let mut bytes = 0u64;
-                for slot in block.lo..block.hi {
-                    match s.view(slot) {
-                        Ok(view) => {
-                            decoded += 1;
-                            bytes += view.header_len() as u64;
-                            sink(BlockChunk::Header(&view.header));
-                        }
-                        Err(_) => corrupt += 1,
-                    }
-                }
-                self.headers_decoded.fetch_add(decoded, Ordering::Relaxed);
-                self.records_corrupt.fetch_add(corrupt, Ordering::Relaxed);
-                self.bytes_decoded.fetch_add(bytes, Ordering::Relaxed);
-                self.row_bytes_equiv.fetch_add(bytes, Ordering::Relaxed);
-            }
+            SegmentRef::Rows(s) => self.drain_rows(block, s, |h| sink(BlockChunk::Header(h))),
             SegmentRef::Cols(c) => {
+                let mut emit = |lo: usize, hi: usize| {
+                    sink(BlockChunk::Columns(ColumnSlice {
+                        users: &c.users()[lo..hi],
+                        timestamps: &c.timestamps()[lo..hi],
+                        lats_e6: &c.lats_e6()[lo..hi],
+                        lons_e6: &c.lons_e6()[lo..hi],
+                    }))
+                };
                 let (lo, hi) = (block.lo as usize, block.hi as usize);
-                sink(BlockChunk::Columns(ColumnSlice {
-                    users: &c.users()[lo..hi],
-                    timestamps: &c.timestamps()[lo..hi],
-                    lats_e6: &c.lats_e6()[lo..hi],
-                    lons_e6: &c.lons_e6()[lo..hi],
-                }));
-                self.charge_columnar(c, (hi - lo) as u64, COL_SLICE_BYTES);
+                let mut rejected = 0u64;
+                if block.filter {
+                    let mut run = None;
+                    for (i, &ts) in c.timestamps()[lo..hi].iter().enumerate() {
+                        if self.admits(ts) {
+                            run.get_or_insert(lo + i);
+                        } else {
+                            rejected += 1;
+                            if let Some(first) = run.take() {
+                                emit(first, lo + i);
+                            }
+                        }
+                    }
+                    if let Some(first) = run {
+                        emit(first, hi);
+                    }
+                } else {
+                    emit(lo, hi);
+                }
+                self.charge_columnar(block, c, rejected, COL_SLICE_BYTES);
             }
         }
         Some(block.first_ordinal)
-    }
-
-    /// Draws the next block, decodes its headers, and fills `out`
-    /// (cleared first) with `map(header)` per decoded record. Returns the
-    /// first slot's global ordinal, or `None` when the store is drained.
-    pub fn next_block_with<T>(
-        &self,
-        out: &mut Vec<T>,
-        mut map: impl FnMut(&TweetHeader) -> T,
-    ) -> Option<u64> {
-        out.clear();
-        self.next_block_headers(|h| out.push(map(h)))
     }
 
     /// Records per full block, as configured.
@@ -726,50 +794,48 @@ impl<'s> HeaderBlocks<'s> {
         self.block_records
     }
 
-    /// Records stored across all segments.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// Segments the store holds.
-    pub fn segments(&self) -> u64 {
-        self.segments
-    }
-
-    /// Headers decoded so far (exact once concurrent readers joined).
+    /// Headers decoded so far, in-window or not (exact once concurrent
+    /// readers joined).
     pub fn headers_decoded(&self) -> u64 {
-        self.headers_decoded.load(Ordering::Relaxed)
-    }
-
-    /// Corrupt records skipped so far.
-    pub fn records_corrupt(&self) -> u64 {
-        self.records_corrupt.load(Ordering::Relaxed)
-    }
-
-    /// Header bytes decoded so far (text is never touched).
-    pub fn bytes_decoded(&self) -> u64 {
-        self.bytes_decoded.load(Ordering::Relaxed)
-    }
-
-    /// Row-format segments (including the active tail).
-    pub fn segments_row(&self) -> u64 {
-        self.segments_row
-    }
-
-    /// Columnar segments.
-    pub fn segments_col(&self) -> u64 {
-        self.segments_col
+        self.shards
+            .iter()
+            .map(|c| c.headers_decoded.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Bytes read from columnar segments so far.
     pub fn col_bytes_read(&self) -> u64 {
-        self.col_bytes_read.load(Ordering::Relaxed)
+        self.shards
+            .iter()
+            .map(|c| c.col_bytes_read.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Row-path equivalent of all reads so far (what the same draws would
-    /// have decoded from row frames).
-    pub fn row_bytes_equiv(&self) -> u64 {
-        self.row_bytes_equiv.load(Ordering::Relaxed)
+    /// Adds the pruning and every draw so far to `m` and to its per-shard
+    /// rows (where `m` has a row for the shard): segments and records
+    /// pruned, headers decoded, rejected, yielded and corrupt, and bytes
+    /// decoded, read from columns, and their row-path equivalent. Exact
+    /// once concurrent readers joined.
+    pub fn charge(&self, m: &mut ScanMetrics) {
+        for (i, c) in self.shards.iter().enumerate() {
+            let decoded = c.headers_decoded.load(Ordering::Relaxed);
+            let rejected = c.records_rejected.load(Ordering::Relaxed);
+            let bytes = c.bytes_decoded.load(Ordering::Relaxed);
+            m.segments_pruned += c.segments_pruned;
+            m.records_pruned += c.records_pruned;
+            m.headers_decoded += decoded;
+            m.records_rejected += rejected;
+            m.records_yielded += decoded - rejected;
+            m.records_corrupt += c.records_corrupt.load(Ordering::Relaxed);
+            m.bytes_decoded += bytes;
+            m.col_bytes_read += c.col_bytes_read.load(Ordering::Relaxed);
+            m.row_bytes_equiv += c.row_bytes_equiv.load(Ordering::Relaxed);
+            if let Some(row) = m.per_shard.get_mut(i) {
+                row.segments_pruned += c.segments_pruned;
+                row.records_pruned += c.records_pruned;
+                row.bytes_decoded += bytes;
+            }
+        }
     }
 }
 
@@ -936,36 +1002,116 @@ mod tests {
         }
     }
 
+    /// Drains `blocks` serially: every handed-out header's `(ordinal,
+    /// header)` in draw order.
+    fn drain(blocks: &HeaderBlocks<'_>) -> Vec<(u64, TweetHeader)> {
+        let mut rows = Vec::new();
+        loop {
+            let mut block = Vec::new();
+            let Some(first) = blocks.next_block_headers(|h| block.push(*h)) else {
+                return rows;
+            };
+            rows.extend((first..).zip(block));
+        }
+    }
+
     #[test]
     fn header_blocks_drain_every_record_in_slot_order_with_slot_ordinals() {
         let s = build_store_n(4096, 500);
         let blocks = HeaderBlocks::new(&s, 64);
-        assert_eq!(blocks.records(), 500);
-        let mut buf: Vec<u64> = Vec::new();
-        let mut ids = Vec::new();
-        let mut last_first = None;
-        while let Some(first) = blocks.next_block_with(&mut buf, |h| h.id) {
-            // Ordinals strictly increase across blocks and each block's
-            // rows rank densely after its first ordinal (no corruption
-            // here, so ordinals are exactly slot positions).
-            if let Some(prev) = last_first {
-                assert!(first > prev);
-            }
-            last_first = Some(first);
-            assert_eq!(buf.len() as u64, {
-                let next = ids.len() as u64 + buf.len() as u64;
-                next - first
-            });
-            ids.extend(buf.iter().copied());
-        }
-        assert_eq!(blocks.next_block_with(&mut buf, |h| h.id), None);
+        let rows = drain(&blocks);
+        // No corruption here, so ordinals are exactly slot positions.
+        let ordinals: Vec<u64> = rows.iter().map(|r| r.0).collect();
+        assert_eq!(ordinals, (0..500).collect::<Vec<u64>>());
         // Serial reference: scan_views order.
         let reference: Vec<u64> = s.scan_views().map(|r| r.unwrap().header.id).collect();
-        assert_eq!(ids, reference);
-        assert_eq!(blocks.headers_decoded(), 500);
-        assert_eq!(blocks.records_corrupt(), 0);
+        assert_eq!(rows.iter().map(|r| r.1.id).collect::<Vec<_>>(), reference);
+        let mut m = ScanMetrics::default();
+        blocks.charge(&mut m);
+        assert_eq!(m.headers_decoded, 500);
+        assert_eq!(m.records_yielded, 500);
+        assert_eq!(m.records_corrupt, 0);
         // Header-only: decode volume falls far short of the stored bytes.
-        assert!(blocks.bytes_decoded() < s.stats().payload_bytes);
+        assert!(m.bytes_decoded < s.stats().payload_bytes);
+    }
+
+    #[test]
+    fn header_blocks_over_shards_keep_ordinals_unique_and_per_user_ascending() {
+        let mut sharded = crate::ShardedStore::with_segment_bytes(3, 4096);
+        for i in 0..1500u64 {
+            sharded.append(&TweetRecord {
+                id: i,
+                user: i % 97,
+                timestamp: i * 31 % 100_000,
+                gps: None,
+                text: format!("shard test tweet {i}"),
+            });
+        }
+        let blocks = HeaderBlocks::new(&sharded, 64);
+        let rows = drain(&blocks);
+        assert_eq!(rows.len(), 1500);
+        let mut seen = std::collections::HashSet::new();
+        let mut last: std::collections::HashMap<u64, (u64, u64)> = Default::default();
+        for &(ordinal, h) in &rows {
+            assert!(seen.insert(ordinal), "duplicate ordinal {ordinal}");
+            // Per-user ordinals ascend in append order (id order here):
+            // the property grouping determinism rests on.
+            if let Some(&(ord, id)) = last.get(&h.user) {
+                assert!(ord < ordinal && id < h.id, "user {} out of order", h.user);
+            }
+            last.insert(h.user, (ordinal, h.id));
+        }
+        let mut m = ScanMetrics {
+            per_shard: vec![ShardScanMetrics::default(); 3],
+            ..Default::default()
+        };
+        blocks.charge(&mut m);
+        assert_eq!(m.headers_decoded, 1500);
+        assert_eq!(
+            m.per_shard.iter().map(|p| p.bytes_decoded).sum::<u64>(),
+            m.bytes_decoded
+        );
+    }
+
+    #[test]
+    fn header_blocks_between_prune_and_filter_like_a_time_query() {
+        use crate::store::StoreFormat;
+        for format in [StoreFormat::V1, StoreFormat::V2] {
+            let mut s = TweetStore::with_segment_bytes_and_format(2048, format);
+            for i in 0..3000u64 {
+                s.append(&TweetRecord {
+                    id: i,
+                    user: i % 50,
+                    timestamp: i * 10,
+                    gps: None,
+                    text: format!("window {i}"),
+                });
+            }
+            let (start, end) = (12_345, 17_001);
+            let blocks = HeaderBlocks::between(&s, 100, start, end);
+            let mut ids = Vec::new();
+            let mut last = None;
+            while let Some(first) = blocks.next_block_mixed(|chunk| match chunk {
+                BlockChunk::Columns(c) => ids.extend(c.timestamps.iter().map(|t| t / 10)),
+                BlockChunk::Header(h) => ids.push(h.id),
+            }) {
+                assert!(last < Some(first), "ordinals must increase");
+                last = Some(first);
+            }
+            let want = naive(&Query::all().between(start, end), &s);
+            assert_eq!(ids, want, "{format:?}");
+            let mut m = ScanMetrics::default();
+            blocks.charge(&mut m);
+            assert!(m.segments_pruned > 0, "{m:?}");
+            assert_eq!(m.records_yielded, want.len() as u64);
+            assert_eq!(
+                m.records_pruned + m.headers_decoded + m.records_corrupt,
+                s.len() as u64
+            );
+            // The open upper bound: `new` is the window [0, u64::MAX).
+            let all = HeaderBlocks::new(&s, 100);
+            assert_eq!(drain(&all).len(), 3000);
+        }
     }
 
     #[test]
@@ -1010,12 +1156,9 @@ mod tests {
             }) {
                 ordinals.push(ord);
             }
-            (
-                rows,
-                ordinals,
-                blocks.col_bytes_read(),
-                blocks.row_bytes_equiv(),
-            )
+            let mut m = ScanMetrics::default();
+            blocks.charge(&mut m);
+            (rows, ordinals, m.col_bytes_read, m.row_bytes_equiv)
         };
         let v1 = build(StoreFormat::V1);
         let v2 = build(StoreFormat::V2);
@@ -1039,11 +1182,8 @@ mod tests {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut buf: Vec<u64> = Vec::new();
                         let mut seen = 0u64;
-                        while blocks.next_block_with(&mut buf, |h| h.user).is_some() {
-                            seen += buf.len() as u64;
-                        }
+                        while blocks.next_block_headers(|_| seen += 1).is_some() {}
                         seen
                     })
                 })

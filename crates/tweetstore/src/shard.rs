@@ -21,11 +21,13 @@
 //!   per-shard answers — byte-identical to the single-store result,
 //!   because record keys are unique and each shard's answer is a sorted
 //!   disjoint subset of the global one.
-//! * **Cross-shard morsel source** ([`ShardedHeaderBlocks`]) lays shard
-//!   blocks out shard-by-shard with cumulative ordinal bases, so ordinals
-//!   stay unique and each user's records keep their relative order — all a
-//!   determinism-by-ordinal consumer (the fused pipeline, the incremental
-//!   session) needs.
+//! * **One store path.** A [`ShardedStore`] is a slice of shards
+//!   (`AsRef<[TweetStore]>`), and so is a single [`TweetStore`]: the block
+//!   layout ([`HeaderBlocks`]) and everything above it take the slice, so
+//!   shard blocks lay out shard by shard with cumulative ordinal bases —
+//!   ordinals stay unique and each user's records keep their relative
+//!   order, all a determinism-by-ordinal consumer (the fused pipeline, the
+//!   incremental session) needs.
 //! * **Parallel durable ingest** ([`ShardedDurableStore`]) gives every
 //!   shard its own WAL file; recovery truncates torn tails **per shard**,
 //!   so one torn log never holds back the other N−1.
@@ -43,7 +45,7 @@ use crate::codec::{encode_parts, encode_record, fnv1a, TweetHeader, TweetRecord}
 use crate::compact::{compact, CompactionReport};
 use crate::persist::{self, PersistError};
 use crate::query::Query;
-use crate::scan::{BlockChunk, HeaderBlocks};
+use crate::scan::HeaderBlocks;
 use crate::segment::DEFAULT_SEGMENT_BYTES;
 use crate::store::{RecordPtr, SegmentRef, StoreFormat, StoreStats, TweetStore};
 use crate::wal::{Wal, WalRecovery};
@@ -406,6 +408,7 @@ impl ShardedStore {
             dir.join(SHARDS_MANIFEST),
             format!("{}\n", self.shards.len()),
         )?;
+        persist::remove_stale(dir, "shard-", "", self.shards.len())?;
         Ok(())
     }
 
@@ -436,6 +439,12 @@ impl ShardedStore {
             )?);
         }
         Ok(Self::from_shards(shards, segment_bytes))
+    }
+}
+
+impl AsRef<[TweetStore]> for ShardedStore {
+    fn as_ref(&self) -> &[TweetStore] {
+        &self.shards
     }
 }
 
@@ -587,157 +596,9 @@ impl CompactedShard {
     }
 }
 
-/// Per-shard counters a drained [`ShardedHeaderBlocks`] reports, the
-/// source of the per-shard rows in [`crate::ScanMetrics`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardBlockCounts {
-    /// Segments the shard holds.
-    pub segments: u64,
-    /// Records the shard holds.
-    pub records: u64,
-    /// Headers decoded from this shard so far.
-    pub headers_decoded: u64,
-    /// Corrupt records skipped in this shard so far.
-    pub records_corrupt: u64,
-    /// Header bytes decoded from this shard so far.
-    pub bytes_decoded: u64,
-}
-
-/// A [`HeaderBlocks`]-style morsel source spanning every shard.
-///
-/// Blocks are laid out shard-by-shard; each shard's block ordinals are
-/// offset by the cumulative record count of the shards before it, so
-/// ordinals are unique across the whole sharded store and each user's
-/// records (confined to one shard by placement) keep their append-order
-/// ordinals ascending — the two properties a determinism-by-ordinal
-/// consumer needs. A shard-level cursor advances as shards drain, so a
-/// draw costs one extra atomic read, not a walk over drained shards.
-pub struct ShardedHeaderBlocks<'s> {
-    parts: Vec<ShardPart<'s>>,
-    /// First shard that may still have blocks (monotone hint; drained
-    /// shards below it are never touched again).
-    active: std::sync::atomic::AtomicUsize,
-    block_records: usize,
-}
-
-struct ShardPart<'s> {
-    base: u64,
-    blocks: HeaderBlocks<'s>,
-}
-
-impl<'s> ShardedHeaderBlocks<'s> {
-    /// Chunks every shard into blocks of at most `block_records` records.
-    pub fn new(store: &'s ShardedStore, block_records: usize) -> Self {
-        let block_records = block_records.max(1);
-        let mut parts = Vec::with_capacity(store.shard_count());
-        let mut base = 0u64;
-        for shard in store.shards() {
-            let blocks = HeaderBlocks::new(shard, block_records);
-            let records = blocks.records();
-            parts.push(ShardPart { base, blocks });
-            base += records;
-        }
-        ShardedHeaderBlocks {
-            parts,
-            active: std::sync::atomic::AtomicUsize::new(0),
-            block_records,
-        }
-    }
-
-    /// Draws the next block (shard-by-shard) and hands every decoded
-    /// header to `sink` in slot order. Returns the first record's
-    /// store-wide ordinal (shard base + in-shard ordinal), or `None` when
-    /// every shard is drained.
-    pub fn next_block_headers(&self, mut sink: impl FnMut(&TweetHeader)) -> Option<u64> {
-        use std::sync::atomic::Ordering;
-        let start = self.active.load(Ordering::Relaxed);
-        for (i, part) in self.parts.iter().enumerate().skip(start) {
-            if let Some(ordinal) = part.blocks.next_block_headers(&mut sink) {
-                return Some(part.base + ordinal);
-            }
-            // This shard is drained: let later draws skip straight past it.
-            self.active.fetch_max(i + 1, Ordering::Relaxed);
-        }
-        None
-    }
-
-    /// Draws the next block like
-    /// [`ShardedHeaderBlocks::next_block_headers`], but columnar segments
-    /// hand the block over as one [`BlockChunk::Columns`] of borrowed
-    /// slices instead of materializing per-record headers; row segments
-    /// still decode headers into per-record [`BlockChunk::Header`] calls.
-    /// Ordinal semantics are identical to the header path.
-    pub fn next_block_mixed(&self, mut sink: impl FnMut(BlockChunk<'_>)) -> Option<u64> {
-        use std::sync::atomic::Ordering;
-        let start = self.active.load(Ordering::Relaxed);
-        for (i, part) in self.parts.iter().enumerate().skip(start) {
-            if let Some(ordinal) = part.blocks.next_block_mixed(&mut sink) {
-                return Some(part.base + ordinal);
-            }
-            self.active.fetch_max(i + 1, Ordering::Relaxed);
-        }
-        None
-    }
-
-    /// Records per full block, as configured.
-    pub fn block_records(&self) -> usize {
-        self.block_records
-    }
-
-    /// Row-format segments across all shards.
-    pub fn segments_row(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.segments_row()).sum()
-    }
-
-    /// Columnar segments across all shards.
-    pub fn segments_col(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.segments_col()).sum()
-    }
-
-    /// Column bytes read so far, summed over shards.
-    pub fn col_bytes_read(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.col_bytes_read()).sum()
-    }
-
-    /// Row-equivalent bytes for the work done so far, summed over shards.
-    pub fn row_bytes_equiv(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.row_bytes_equiv()).sum()
-    }
-
-    /// Records across all shards.
-    pub fn records(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.records()).sum()
-    }
-
-    /// Headers decoded so far, summed over shards.
-    pub fn headers_decoded(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.headers_decoded()).sum()
-    }
-
-    /// Corrupt records skipped so far, summed over shards.
-    pub fn records_corrupt(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.records_corrupt()).sum()
-    }
-
-    /// Header bytes decoded so far, summed over shards.
-    pub fn bytes_decoded(&self) -> u64 {
-        self.parts.iter().map(|p| p.blocks.bytes_decoded()).sum()
-    }
-
-    /// Per-shard counter snapshots, in shard order.
-    pub fn per_shard(&self) -> Vec<ShardBlockCounts> {
-        self.parts
-            .iter()
-            .map(|p| ShardBlockCounts {
-                segments: p.blocks.segments(),
-                records: p.blocks.records(),
-                headers_decoded: p.blocks.headers_decoded(),
-                records_corrupt: p.blocks.records_corrupt(),
-                bytes_decoded: p.blocks.bytes_decoded(),
-            })
-            .collect()
-    }
-}
+/// The cross-shard morsel source: [`HeaderBlocks`] already lays blocks
+/// out over any shard slice, a [`ShardedStore`] included.
+pub type ShardedHeaderBlocks<'s> = HeaderBlocks<'s>;
 
 /// A [`ShardedStore`] coupled to one WAL per shard: appends hit the
 /// placement shard's log first, [`ShardedDurableStore::sync`] is the
@@ -1068,43 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_blocks_cover_every_record_with_unique_ordinals() {
-        let (sharded, _) = build(3, 1500);
-        let blocks = ShardedHeaderBlocks::new(&sharded, 64);
-        assert_eq!(blocks.records(), 1500);
-        let mut seen = std::collections::HashSet::new();
-        let mut count = 0u64;
-        let mut per_user_ordinals: std::collections::HashMap<u64, Vec<u64>> =
-            std::collections::HashMap::new();
-        let mut buf: Vec<(u64, u64)> = Vec::new();
-        loop {
-            buf.clear();
-            let Some(first) = blocks.next_block_headers(|h| buf.push((h.user, h.id))) else {
-                break;
-            };
-            for (off, &(user, _)) in buf.iter().enumerate() {
-                let ordinal = first + off as u64;
-                assert!(seen.insert(ordinal), "duplicate ordinal {ordinal}");
-                per_user_ordinals.entry(user).or_default().push(ordinal);
-                count += 1;
-            }
-        }
-        assert_eq!(count, 1500);
-        assert_eq!(blocks.headers_decoded(), 1500);
-        // Per-user ordinals ascend in append order (id order here): the
-        // property grouping determinism rests on.
-        for (user, ords) in per_user_ordinals {
-            assert!(
-                ords.windows(2).all(|w| w[0] < w[1]),
-                "user {user} ordinals out of order: {ords:?}"
-            );
-        }
-        let per = blocks.per_shard();
-        assert_eq!(per.len(), 3);
-        assert_eq!(per.iter().map(|p| p.headers_decoded).sum::<u64>(), 1500);
-    }
-
-    #[test]
     fn save_load_reproduces_placement_and_queries() {
         let dir = std::env::temp_dir().join(format!("stir-shard-persist-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1120,6 +944,25 @@ mod tests {
         }
         let q = Query::all().between(0, 50_000);
         assert_eq!(loaded.query(&q), q.execute(&single));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resaving_fewer_shards_removes_stale_shard_directories() {
+        let dir = std::env::temp_dir().join(format!("stir-shard-resave-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        build(4, 800).0.save(&dir).unwrap();
+        let (two, single) = build(2, 300);
+        two.save(&dir).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["SHARDS", "shard-000", "shard-001"]);
+        let loaded = ShardedStore::load_with_segment_bytes(&dir, 4096).unwrap();
+        assert_eq!(loaded.shard_count(), 2);
+        assert_eq!(loaded.query(&Query::all()), Query::all().execute(&single));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -266,6 +266,14 @@ impl Default for TweetStore {
     }
 }
 
+/// A single store is a one-shard slice: everything that reads a shard
+/// slice ([`crate::HeaderBlocks`], the pipeline's store path) takes it.
+impl AsRef<[TweetStore]> for TweetStore {
+    fn as_ref(&self) -> &[TweetStore] {
+        std::slice::from_ref(self)
+    }
+}
+
 impl TweetStore {
     /// A store with the default segment size and format (`V1`).
     pub fn new() -> Self {

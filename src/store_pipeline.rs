@@ -7,24 +7,10 @@
 //! store-block morsel source and scan-metrics fill moved into
 //! `stir_core::pipeline`). This module keeps the store-specific
 //! composition that has no core equivalent — pre-compacting to GPS
-//! records before the run (what a production deployment would keep hot) —
-//! plus a deprecated shim for the old free-function entry point.
+//! records before the run (what a production deployment would keep hot).
 
 use stir_core::{AnalysisResult, CollectionFunnel, ProfileRow, RefinementPipeline};
 use stir_tweetstore::{gps_only, CompactionReport, TweetStore};
-
-/// Runs the full pipeline with tweets streamed out of `store`.
-#[deprecated(note = "use `pipeline.execute(profiles, store)` — the store is a pipeline input now")]
-pub fn run_from_store<PI>(
-    pipeline: &RefinementPipeline<'_>,
-    profiles: PI,
-    store: &TweetStore,
-) -> AnalysisResult
-where
-    PI: IntoIterator<Item = ProfileRow>,
-{
-    pipeline.execute(profiles, store)
-}
 
 /// Compacts the store to GPS-only records, then runs the pipeline on the
 /// compacted store. The funnel's tweet totals are patched to reflect the
@@ -115,11 +101,6 @@ mod tests {
             assert_eq!(a.user, b.user);
             assert_eq!(a.matched_rank, b.matched_rank);
         }
-        // The deprecated free function keeps forwarding to the same run.
-        #[allow(deprecated)]
-        let via_shim = run_from_store(&pipeline, profile_rows(&dataset), &store);
-        assert_eq!(via_shim.funnel, via_store.funnel);
-        assert_eq!(via_shim.users.len(), via_store.users.len());
     }
 
     #[test]

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use stir::core::{
     group_cohort_with_block, group_user_keys_with, group_user_strings, group_user_strings_with,
-    DistrictInterner, GroupTable, LocationKey, LocationString, OnlineGrouping, ProfileRow,
-    RefinementPipeline, TieBreak, TopKGroup, TweetRow,
+    DistrictInterner, GroupTable, LocationKey, LocationString, ProfileRow, RefinementPipeline,
+    TieBreak, TopKGroup, TweetRow,
 };
 use stir::geoindex::Point;
 use stir::geokr::Gazetteer;
@@ -134,26 +134,6 @@ proptest! {
             .map(|tb| group_user_strings_with(&strings, tb).unwrap().total_tweets())
             .collect();
         prop_assert_eq!(totals[0], totals[1]);
-    }
-
-    #[test]
-    fn online_grouping_equals_batch(indices in prop::collection::vec(0usize..5, 1..120)) {
-        let strings = strings_from(&indices);
-        // Intern once per district, push interned keys — the supported
-        // (allocation-free) incremental path.
-        let mut online = OnlineGrouping::new();
-        let profile = online.intern_district("Seoul", "Guro-gu");
-        for s in &strings {
-            let tweet = online.intern_district(&s.state_tweet, &s.county_tweet);
-            let key = online.key(s.user, profile, tweet);
-            online.push_key(key);
-        }
-        let snapshot = online.snapshot();
-        prop_assert_eq!(snapshot.len(), 1);
-        let batch = group_user_strings(&strings).unwrap();
-        prop_assert_eq!(&snapshot[0].matched_rank, &batch.matched_rank);
-        prop_assert_eq!(&snapshot[0].entries, &batch.entries);
-        prop_assert_eq!(online.group_of(1), Some(batch.group()));
     }
 
     #[test]

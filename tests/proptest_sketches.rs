@@ -13,6 +13,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use stir::core::{
     AnalysisResult, AnalysisSession, GazetteerSketcher, PipelineBuilder, ProfileRow, TimeWindow,
+    TweetRow,
 };
 use stir::geokr::Gazetteer;
 use stir::tweetstore::{GroupSketch, ShardedStore, StoreFormat, TweetRecord, TweetStore};
@@ -129,9 +130,12 @@ fn build_shards(records: &[TweetRecord], fmt_idx: usize, shards: usize) -> Shard
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Sketch path ≡ scan path: full queries and windowed queries
-    /// (aligned when `sec == 0`, straddling otherwise), across row /
-    /// columnar / mixed segment chains and single / sharded stores.
+    /// Sketch path ≡ scan path ≡ staged oracle: full queries and windowed
+    /// queries (aligned when `sec == 0`, straddling otherwise), across row
+    /// / columnar / mixed segment chains and single / sharded stores. The
+    /// oracle is the staged engine fed the window's rows in append order,
+    /// so the fused, zone-pruned windowed store path is pinned to it, not
+    /// only to the sketch path.
     #[test]
     fn sketch_path_equals_scan_path(
         rows in prop::collection::vec((0u64..10, 0usize..6, 0u64..5, 0u64..86_400), 1..300),
@@ -155,16 +159,24 @@ proptest! {
         };
         let scan = PipelineBuilder::new(g).build().unwrap();
         let sketched = PipelineBuilder::new(g).sketches(true).build().unwrap();
+        let in_window: Vec<TweetRow> = records
+            .iter()
+            .filter(|r| window.contains(r.timestamp))
+            .map(|r| TweetRow { user: r.user, tweet_id: r.id, gps: r.gps })
+            .collect();
+        let oracle = PipelineBuilder::new(g)
+            .staged()
+            .build()
+            .unwrap()
+            .execute(profiles.clone(), in_window);
         if shards == 1 {
             let store = build_store(&records, fmt_idx);
             assert_identical(
                 &sketched.execute(profiles.clone(), &store),
                 &scan.execute(profiles.clone(), &store),
             )?;
-            assert_identical(
-                &sketched.execute_windowed(profiles.clone(), &store, window),
-                &scan.execute_windowed(profiles, &store, window),
-            )?;
+            assert_identical(&sketched.execute_windowed(profiles.clone(), &store, window), &oracle)?;
+            assert_identical(&scan.execute_windowed(profiles, &store, window), &oracle)?;
         } else {
             let store = build_shards(&records, fmt_idx, shards);
             assert_identical(
@@ -173,8 +185,9 @@ proptest! {
             )?;
             assert_identical(
                 &sketched.execute_windowed_sharded(profiles.clone(), &store, window),
-                &scan.execute_windowed_sharded(profiles, &store, window),
+                &oracle,
             )?;
+            assert_identical(&scan.execute_windowed_sharded(profiles, &store, window), &oracle)?;
         }
     }
 
@@ -197,7 +210,7 @@ proptest! {
         let warm = if sharded {
             let store = build_shards(&records, 1, 4);
             let reference = batch.execute(profiles.clone(), &store);
-            let session = AnalysisSession::from_shards(
+            let session = AnalysisSession::from_store(
                 PipelineBuilder::new(g).sketches(true).build().unwrap(),
                 profiles.clone(),
                 &store,
