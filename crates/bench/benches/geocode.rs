@@ -37,7 +37,7 @@ fn bench_reverse(c: &mut Criterion) {
                 .count()
         })
     });
-    group.bench_function("via_yahoo_xml", |b| {
+    group.bench_function("yahoo_xml", |b| {
         let api = YahooPlaceFinder::with_limits(&gazetteer, u64::MAX, 0);
         b.iter(|| {
             points

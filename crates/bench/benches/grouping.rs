@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use stir_core::{
-    group_cohort_with_block, group_user_keys, group_user_strings, DistrictInterner, GroupTable,
-    LocationKey, LocationString, ReliabilityWeights, TieBreak,
+    group_user_keys, group_user_strings, DistrictInterner, GroupTable, LocationKey, LocationString,
+    ReliabilityWeights,
 };
 
 fn user_strings(user: u64, n_tweets: usize, n_spots: usize, seed: u64) -> Vec<LocationString> {
@@ -66,45 +66,6 @@ fn bench_interned_vs_string(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-cohort grouping through the block scheduler at 1/2/4/8 threads.
-/// On a 1-CPU container every count measures the same serial walk (parity
-/// is the honest result there); on multi-core hardware the per-user merges
-/// interleave and the sweep shows the fan-out.
-fn bench_cohort_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("grouping/cohort_threads");
-    let users = 4_096usize;
-    let mut interner = DistrictInterner::new();
-    let cohort: Vec<(u64, Vec<LocationKey>)> = (0..users)
-        .map(|u| {
-            let strings = user_strings(u as u64, 40, 6, u as u64);
-            let keys: Vec<LocationKey> = strings.iter().map(|s| s.to_key(&mut interner)).collect();
-            (u as u64, keys)
-        })
-        .collect();
-    let tweets = (users * 40) as u64;
-    for &threads in &[1usize, 2, 4, 8] {
-        group.throughput(Throughput::Elements(tweets));
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    group_cohort_with_block(
-                        black_box(&cohort),
-                        &interner,
-                        TieBreak::FirstSeen,
-                        threads,
-                        256,
-                    )
-                    .0
-                    .len()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_cohort(c: &mut Criterion) {
     let mut group = c.benchmark_group("grouping/cohort_stats");
     for &users in &[100usize, 1_000, 10_000] {
@@ -125,6 +86,6 @@ fn bench_cohort(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_group_user, bench_interned_vs_string, bench_cohort_threads, bench_cohort
+    targets = bench_group_user, bench_interned_vs_string, bench_cohort
 }
 criterion_main!(benches);

@@ -14,14 +14,11 @@
 //! `u32` compare and the loop allocates nothing per tweet (the per-user
 //! merge buffer grows with *distinct districts*, bounded by the tiny
 //! vocabulary). A property test pins the two paths to identical output
-//! under every [`TieBreak`] policy. [`group_cohort`] fans the per-user
-//! loop out over the same work-stealing block scheduler the geocode stage
-//! uses, stitching results in input order so parallel output is
-//! byte-identical to serial.
+//! under every [`TieBreak`] policy. [`group_partition`] feeds the same
+//! kernel from the fused engine's partition buffers.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::intern::{DistrictId, DistrictInterner, LocationKey};
 use crate::string::LocationString;
@@ -374,92 +371,6 @@ pub fn group_partition(
     out
 }
 
-/// Users handed to a grouping worker per scheduler draw (auto-sized down
-/// for small cohorts, like the geocode stage's blocks).
-const GROUP_BLOCK: usize = 256;
-
-/// Below this many users the thread-spawn overhead outweighs the fan-out.
-const PARALLEL_GROUP_THRESHOLD: usize = 512;
-
-/// Groups a whole cohort — `(user, keys)` pairs, typically sorted by user
-/// id — fanning the per-user loop over `threads` workers with the
-/// work-stealing block scheduler. Results are stitched in input order, so
-/// the output is byte-identical to the serial path regardless of thread
-/// interleaving. Users whose key list is empty are dropped, exactly as the
-/// serial `filter_map` would.
-///
-/// Returns the grouped users plus the per-thread block counts (the
-/// scheduler-balance signal surfaced in grouping metrics; a single `[1]`
-/// on the serial path).
-pub fn group_cohort(
-    users: &[(u64, Vec<LocationKey>)],
-    interner: &DistrictInterner,
-    tie_break: TieBreak,
-    threads: usize,
-) -> (Vec<GroupedUser>, Vec<u64>) {
-    let threads = threads.max(1);
-    if threads == 1 || users.len() < PARALLEL_GROUP_THRESHOLD {
-        let grouped = users
-            .iter()
-            .filter_map(|(_, keys)| group_user_keys_with(keys, tie_break, interner))
-            .collect();
-        return (grouped, vec![1]);
-    }
-    let block = (users.len().div_ceil(threads * 4)).clamp(16, GROUP_BLOCK);
-    group_cohort_with_block(users, interner, tie_break, threads, block)
-}
-
-/// [`group_cohort`] with an explicit block size and no serial shortcut —
-/// the property tests sweep arbitrary thread/block counts through this to
-/// pin parallel ≡ serial.
-pub fn group_cohort_with_block(
-    users: &[(u64, Vec<LocationKey>)],
-    interner: &DistrictInterner,
-    tie_break: TieBreak,
-    threads: usize,
-    block: usize,
-) -> (Vec<GroupedUser>, Vec<u64>) {
-    let threads = threads.max(1);
-    let block = block.max(1);
-    let cursor = AtomicUsize::new(0);
-    let mut per_thread_blocks = vec![0u64; threads];
-    let mut slots: Vec<Option<GroupedUser>> = (0..users.len()).map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            workers.push(s.spawn(move || {
-                let mut parts: Vec<(usize, Vec<Option<GroupedUser>>)> = Vec::new();
-                let mut blocks = 0u64;
-                loop {
-                    let start = cursor.fetch_add(block, Ordering::Relaxed);
-                    if start >= users.len() {
-                        break;
-                    }
-                    let end = (start + block).min(users.len());
-                    let grouped = users[start..end]
-                        .iter()
-                        .map(|(_, keys)| group_user_keys_with(keys, tie_break, interner))
-                        .collect();
-                    blocks += 1;
-                    parts.push((start, grouped));
-                }
-                (parts, blocks)
-            }));
-        }
-        for (t, worker) in workers.into_iter().enumerate() {
-            let (parts, blocks) = worker.join().expect("grouping worker panicked");
-            per_thread_blocks[t] = blocks;
-            for (start, grouped) in parts {
-                for (slot, value) in slots[start..start + grouped.len()].iter_mut().zip(grouped) {
-                    *slot = value;
-                }
-            }
-        }
-    });
-    (slots.into_iter().flatten().collect(), per_thread_blocks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,48 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn cohort_parallel_equals_serial_at_any_block_size() {
-        let mut interner = DistrictInterner::new();
-        let mut cohort: Vec<(u64, Vec<LocationKey>)> = Vec::new();
-        for u in 0..40u64 {
-            let strings: Vec<LocationString> = (0..(u % 7 + 1))
-                .map(|i| {
-                    s(
-                        u,
-                        "Yangchun-gu",
-                        if i % 3 == 0 { "Yangchun-gu" } else { "Jung-gu" },
-                    )
-                })
-                .collect();
-            cohort.push((u, strings.iter().map(|x| x.to_key(&mut interner)).collect()));
-        }
-        // One user with no keys: dropped on both paths.
-        cohort.insert(17, (1000, Vec::new()));
-        let (serial, serial_blocks) = group_cohort(&cohort, &interner, TieBreak::FirstSeen, 1);
-        assert_eq!(serial_blocks, vec![1]);
-        for threads in [2, 3, 8] {
-            for block in [1, 3, 16, 64] {
-                let (parallel, blocks) = group_cohort_with_block(
-                    &cohort,
-                    &interner,
-                    TieBreak::FirstSeen,
-                    threads,
-                    block,
-                );
-                assert_eq!(parallel.len(), serial.len(), "t={threads} b={block}");
-                for (a, b) in serial.iter().zip(&parallel) {
-                    assert_eq!(a.user, b.user, "t={threads} b={block}");
-                    assert_eq!(a.entries, b.entries, "t={threads} b={block}");
-                    assert_eq!(a.matched_rank, b.matched_rank, "t={threads} b={block}");
-                }
-                assert_eq!(blocks.len(), threads);
-                let total: u64 = blocks.iter().sum();
-                assert_eq!(total as usize, cohort.len().div_ceil(block));
-            }
-        }
-    }
-
-    #[test]
     fn partition_grouping_matches_the_cohort_engine() {
         let mut interner = DistrictInterner::new();
         let home = interner.intern("Seoul", "Yangchun-gu");
@@ -755,20 +624,17 @@ mod tests {
         pairs.sort_unstable_by_key(|&(ord, k)| (k.user, ord));
         let grouped = group_partition(&pairs, &interner, TieBreak::FirstSeen);
         // Reference: the staged path's per-user vectors in input order.
-        let cohort: Vec<(u64, Vec<LocationKey>)> = [3u64, 7, 9]
+        let reference: Vec<GroupedUser> = [3u64, 7, 9]
             .iter()
-            .map(|&u| {
-                (
-                    u,
-                    emitted
-                        .iter()
-                        .filter(|(_, k)| k.user == u)
-                        .map(|&(_, k)| k)
-                        .collect(),
-                )
+            .filter_map(|&u| {
+                let keys: Vec<LocationKey> = emitted
+                    .iter()
+                    .filter(|(_, k)| k.user == u)
+                    .map(|&(_, k)| k)
+                    .collect();
+                group_user_keys_with(&keys, TieBreak::FirstSeen, &interner)
             })
             .collect();
-        let (reference, _) = group_cohort(&cohort, &interner, TieBreak::FirstSeen, 1);
         assert_eq!(grouped.len(), reference.len());
         for (a, b) in grouped.iter().zip(&reference) {
             assert_eq!(a.user, b.user);

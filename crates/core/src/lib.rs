@@ -59,8 +59,8 @@ pub use compare::{compare, TableComparison};
 pub use funnel::CollectionFunnel;
 pub use granularity::Granularity;
 pub use grouping::{
-    group_cohort, group_cohort_with_block, group_user_keys, group_user_keys_with,
-    group_user_strings, group_user_strings_with, GroupedUser, TieBreak,
+    group_user_keys, group_user_keys_with, group_user_strings, group_user_strings_with,
+    GroupedUser, TieBreak,
 };
 pub use input::{ProfileRow, TweetRow};
 pub use intern::{DistrictInterner, LocationKey};
@@ -74,10 +74,7 @@ pub use pipeline::{
     RefinementPipeline, TimeWindow,
 };
 pub use reliability::ReliabilityWeights;
-pub use service::{
-    AnalysisSession, DurableSession, SessionQuery, SessionSnapshot, ShardedDurableSession,
-    SnapshotError,
-};
+pub use service::{AnalysisSession, DurableSession, SessionQuery, SessionSnapshot, SnapshotError};
 pub use sketch::{gazetteer_fingerprint, GazetteerSketcher};
 pub use stats::{GroupRow, GroupTable};
 pub use stir_geokr::{BackendChoice, BackendTraffic, FaultPlan, ResiliencePolicy};

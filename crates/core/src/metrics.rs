@@ -27,11 +27,11 @@ pub struct StageTimings {
 /// How the geocode stage executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GeocodeMode {
-    /// In-process sharded-cache reverse geocoder (serial fallback for
-    /// small inputs or `threads = 1`).
+    /// In-process sharded-cache reverse geocoder on one thread: the staged
+    /// reference, or a fused pass that ran on one worker.
     #[default]
     DirectSerial,
-    /// In-process geocoder fanned out over the dynamic block scheduler.
+    /// In-process geocoder fanned out over the fused engine's workers.
     DirectParallel,
     /// Round trip through the mock Yahoo XML endpoint (parallel-capable
     /// since its accounting moved to atomics).
@@ -69,9 +69,9 @@ pub struct GeocodeMetrics {
     pub cache_hits: u64,
     /// Worker threads used (1 on the serial paths).
     pub threads: usize,
-    /// Scheduler blocks completed by each worker thread. Empty on the
-    /// serial paths; sums to the total block count on the parallel path.
-    /// Imbalance here means the dynamic scheduler was hand-feeding a
+    /// Morsels completed by each fused worker thread. Empty on the serial
+    /// paths; sums to the total morsel count on the parallel path.
+    /// Imbalance here means the work-stealing source was hand-feeding a
     /// straggler, exactly what it exists to absorb.
     pub blocks_per_thread: Vec<u64>,
     /// The backend's full traffic report: outcome partition

@@ -12,14 +12,16 @@
 //! 3. **Build strings** (Table I), **group and order** them (Table II), and
 //!    classify each surviving user into a Top-k group.
 //!
-//! Geocoding parallelizes across `threads` OS threads (`std::thread::scope`)
-//! behind a dynamic block scheduler: an atomic cursor hands out fixed-size
-//! blocks of fixes, so a thread that drew cheap cache hits steals the next
-//! block instead of idling behind a straggler. Output stays deterministic:
-//! results land by input index, and per-user string order (which drives
-//! tie-breaking) is the tweet input order. Every run also fills a
+//! Stages 2–3 run on one of two engines. The staged engine
+//! ([`RefinementPipeline::process_tweets`]) is the serial reference that
+//! reads like §III: intake into a fix vector, geocode each fix in input
+//! order, then group the per-user keys in user-id order, with a barrier
+//! between stages and no thread of its own. The fused engine ([`exec`])
+//! runs the same stages as one morsel-driven parallel pass and is pinned
+//! byte-identical to it. Per-user string order (which drives
+//! tie-breaking) is the tweet input order on both. Every run also fills a
 //! [`PipelineMetrics`] — per-stage wall time, geocode throughput, cache hit
-//! ratio, per-thread block counts — returned on [`AnalysisResult`].
+//! ratio — returned on [`AnalysisResult`].
 //!
 //! The hot path is **interned** ([`crate::intern`]): at construction the
 //! pipeline interns every gazetteer district's grouping key once (with
@@ -29,13 +31,10 @@
 //! the district *id* ([`Geocoder::resolve_id`]), the grouping stage merges
 //! 16-byte [`LocationKey`]s, and [`GroupedUser`]'s public `String` fields
 //! are resolved from the symbol table once per merged entry at the end.
-//! Per-user grouping fans out over the same block scheduler; results are
-//! stitched in user-id order, so the output is byte-identical to serial.
 
 pub mod exec;
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use stir_geoindex::Point;
@@ -48,7 +47,7 @@ use stir_tweetstore::{
 
 use crate::funnel::CollectionFunnel;
 use crate::granularity::Granularity;
-use crate::grouping::{group_cohort, GroupedUser, TieBreak};
+use crate::grouping::{group_user_keys_with, GroupedUser, TieBreak};
 use crate::input::{ProfileRow, TweetRow};
 use crate::intern::{DistrictId, DistrictInterner, LocationKey};
 use crate::metrics::{
@@ -56,14 +55,6 @@ use crate::metrics::{
 };
 use crate::sketch;
 use exec::{ColumnBatch, MorselSource, RowSource};
-
-/// Fixes handed to a worker per scheduler draw. Big enough that the atomic
-/// cursor is cold (one fetch_add per ~2048 lookups), small enough that a
-/// tail block cannot leave a thread idle for long.
-const GEOCODE_BLOCK: usize = 2048;
-
-/// Below this many fixes the thread-spawn overhead outweighs the fan-out.
-const PARALLEL_THRESHOLD: usize = 1024;
 
 /// Default rows per morsel on the fused path: big enough that per-morsel
 /// costs (source cursor, batched geocode dispatch, partition flush) are
@@ -107,11 +98,6 @@ enum CachedClass {
 /// methods ([`PipelineConfig::threads`], [`PipelineConfig::is_fused`], …).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Legacy switch for [`BackendChoice::Yahoo`]: round-trip every reverse
-    /// geocode through the mock Yahoo XML endpoint (serialize → parse),
-    /// exercising the paper's integration path. Ignored when `backend`
-    /// already names a non-default choice.
-    via_yahoo_xml: bool,
     /// Which geocoding backend the pipeline plugs in (the pipeline itself
     /// never names a concrete geocoder type).
     backend: BackendChoice,
@@ -120,11 +106,12 @@ pub struct PipelineConfig {
     fault_plan: FaultPlan,
     /// Retry/breaker/budget knobs of the resilient backend.
     resilience: ResiliencePolicy,
-    /// Worker-thread **ceiling** (≥ 1). The scheduler never exceeds it,
-    /// but may use fewer: the count is capped at the machine's
-    /// `available_parallelism`, and the fused engine additionally
-    /// collapses to serial-inline when a warmup sample shows workers
-    /// time-slicing one core (see [`exec::warmup_collapse`]).
+    /// The fused engine's worker-thread **ceiling** (≥ 1). The scheduler
+    /// never exceeds it, but may use fewer: the count is capped at the
+    /// machine's `available_parallelism`, and the pass collapses to
+    /// serial-inline when a warmup sample shows workers time-slicing one
+    /// core (see [`exec::warmup_collapse`]). The staged reference ignores
+    /// it and always runs serially.
     threads: usize,
     /// Obey `threads` exactly — no availability cap, no warmup collapse.
     /// The bench escape hatch (`--threads-exact`): oversubscription
@@ -151,7 +138,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            via_yahoo_xml: false,
             backend: BackendChoice::default(),
             fault_plan: FaultPlan::default(),
             resilience: ResiliencePolicy::default(),
@@ -167,8 +153,7 @@ impl Default for PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// The configured backend choice (before the legacy-flag upgrade —
-    /// see [`PipelineConfig::effective_backend`]).
+    /// The geocoding backend the pipeline assembles.
     pub fn backend(&self) -> BackendChoice {
         self.backend
     }
@@ -183,7 +168,8 @@ impl PipelineConfig {
         self.resilience
     }
 
-    /// The configured worker-thread ceiling, as given.
+    /// The configured worker-thread ceiling of the fused engine, as given
+    /// (the staged reference runs serially at any value).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -203,11 +189,6 @@ impl PipelineConfig {
         self.fused
     }
 
-    /// Whether the legacy Yahoo-XML round-trip switch is on.
-    pub fn via_yahoo_xml(&self) -> bool {
-        self.via_yahoo_xml
-    }
-
     /// Rows per morsel as configured (`0` = auto).
     pub fn morsel_rows(&self) -> usize {
         self.morsel_rows
@@ -222,17 +203,8 @@ impl PipelineConfig {
     pub fn sketches(&self) -> bool {
         self.sketches
     }
-    /// The backend actually assembled: an explicit `backend` wins; the
-    /// legacy `via_yahoo_xml` flag upgrades the default to the Yahoo path.
-    pub fn effective_backend(&self) -> BackendChoice {
-        if self.backend == BackendChoice::Gazetteer && self.via_yahoo_xml {
-            BackendChoice::Yahoo
-        } else {
-            self.backend
-        }
-    }
 
-    /// Worker threads the schedulers actually plan for: the configured
+    /// Worker threads the fused engine actually plans for: the configured
     /// ceiling capped at the machine's available parallelism — an 8-thread
     /// request on a 1-core container plans 1 worker, which is the whole
     /// oversubscription fix. `threads_exact` restores the old behaviour
@@ -344,7 +316,8 @@ impl<'g> PipelineBuilder<'g> {
         }
     }
 
-    /// Worker-thread ceiling (default 4; must be ≥ 1).
+    /// The fused engine's worker-thread ceiling (default 4; must be ≥ 1).
+    /// The staged reference runs serially at any value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -394,13 +367,6 @@ impl<'g> PipelineBuilder<'g> {
         self
     }
 
-    /// Routes every reverse geocode through the mock Yahoo XML endpoint
-    /// (the legacy switch; prefer [`PipelineBuilder::backend`]).
-    pub fn via_yahoo_xml(mut self, on: bool) -> Self {
-        self.config.via_yahoo_xml = on;
-        self
-    }
-
     /// Runs stages 2–3 on the staged reference path instead of the fused
     /// engine.
     pub fn staged(mut self) -> Self {
@@ -441,9 +407,7 @@ impl<'g> PipelineBuilder<'g> {
             Some(parts) => self.config.fused_partitions = parts,
             None => {}
         }
-        if !self.config.fault_plan.is_quiet()
-            && self.config.effective_backend() == BackendChoice::Gazetteer
-        {
+        if !self.config.fault_plan.is_quiet() && self.config.backend == BackendChoice::Gazetteer {
             return Err(PipelineBuildError::FaultsNeedEndpoint);
         }
         Ok(self.config)
@@ -763,8 +727,12 @@ impl<'g> RefinementPipeline<'g> {
         }
     }
 
-    /// Stages 2–3: filter and geocode tweets, build packed location keys,
-    /// group users. Fills the intake/geocode/grouping slots of `metrics`.
+    /// Stages 2–3 on the staged reference engine, the serial §III recipe:
+    /// keep the GPS tweets of kept users, reverse-geocode each fix in input
+    /// order, then merge and rank each user's location keys in user-id
+    /// order. Each stage finishes before the next starts, and none spawns a
+    /// thread, whatever [`PipelineConfig::threads`] says. Fills the
+    /// intake/geocode/grouping slots of `metrics`.
     pub fn process_tweets<I>(
         &self,
         kept: &HashMap<u64, DistrictId>,
@@ -793,7 +761,7 @@ impl<'g> RefinementPipeline<'g> {
         }
         metrics.stages.tweet_intake = intake_start.elapsed();
 
-        // Geocode every fix (parallel, deterministic by index).
+        // Geocode every fix, one at a time in input order.
         let geocode_start = Instant::now();
         let resolved = self.geocode_all(&fixes, funnel, &mut metrics.geocode);
         metrics.stages.geocode = geocode_start.elapsed();
@@ -821,17 +789,18 @@ impl<'g> RefinementPipeline<'g> {
         // re-hashed every user through `per_user[&u]`.
         let mut cohort: Vec<(u64, Vec<LocationKey>)> = per_user.into_iter().collect();
         cohort.sort_unstable_by_key(|&(user, _)| user);
-        let threads = self.config.effective_threads();
-        let (grouped, blocks_per_thread) =
-            group_cohort(&cohort, &self.interner, TieBreak::FirstSeen, threads);
+        let grouped: Vec<GroupedUser> = cohort
+            .iter()
+            .filter_map(|(_, keys)| group_user_keys_with(keys, TieBreak::FirstSeen, &self.interner))
+            .collect();
         funnel.users_final = grouped.len() as u64;
         metrics.stages.grouping = grouping_start.elapsed();
         metrics.grouping.strings = funnel.strings_built;
         metrics.grouping.users = cohort.len() as u64;
         metrics.grouping.merged_entries = grouped.iter().map(|u| u.entries.len() as u64).sum();
         metrics.grouping.interner_size = self.interner.len() as u64;
-        metrics.grouping.threads = blocks_per_thread.len();
-        metrics.grouping.blocks_per_thread = blocks_per_thread;
+        metrics.grouping.threads = 1;
+        metrics.grouping.blocks_per_thread = vec![1];
         metrics.grouping.wall = metrics.stages.grouping;
         grouped
     }
@@ -853,7 +822,7 @@ impl<'g> RefinementPipeline<'g> {
         // The e6 coverage prescreen only applies to the in-process
         // gazetteer: remote backends have test-pinned per-lookup traffic
         // (quota days, retry counts) a skipped lookup would change.
-        let cover = match self.config.effective_backend() {
+        let cover = match self.config.backend() {
             BackendChoice::Gazetteer => Some(exec::CoverE6::korea()),
             _ => None,
         };
@@ -861,7 +830,7 @@ impl<'g> RefinementPipeline<'g> {
             source,
             &exec::FusedParams {
                 backend: backend.as_ref(),
-                choice: self.config.effective_backend(),
+                choice: self.config.backend(),
                 kept,
                 gaz_to_interned: &self.gaz_to_interned,
                 interner: &self.interner,
@@ -894,12 +863,14 @@ impl<'g> RefinementPipeline<'g> {
     /// `dyn Geocoder` — the concrete type is the builder's business.
     pub(crate) fn build_backend(&self) -> Box<dyn Geocoder + 'g> {
         GeocoderBuilder::new(self.gazetteer)
-            .backend(self.config.effective_backend())
+            .backend(self.config.backend())
             .fault_plan(self.config.fault_plan())
             .resilience(self.config.resilience())
             .build()
     }
 
+    /// The staged geocode stage: one [`resolve_one`] per fix, in input
+    /// order, so the backend's cache sees the fixes in that order too.
     fn geocode_all(
         &self,
         fixes: &[Fix],
@@ -907,26 +878,17 @@ impl<'g> RefinementPipeline<'g> {
         metrics: &mut GeocodeMetrics,
     ) -> Vec<ResolvedFix> {
         metrics.fixes = fixes.len() as u64;
-        let choice = self.config.effective_backend();
-        let threads = self.config.effective_threads();
-        let parallel = threads > 1 && fixes.len() >= PARALLEL_THRESHOLD;
-        metrics.mode = match (choice, parallel) {
-            (BackendChoice::Gazetteer, false) => GeocodeMode::DirectSerial,
-            (BackendChoice::Gazetteer, true) => GeocodeMode::DirectParallel,
-            (BackendChoice::Yahoo, _) => GeocodeMode::YahooXml,
-            (BackendChoice::Resilient, _) => GeocodeMode::Resilient,
+        metrics.mode = match self.config.backend() {
+            BackendChoice::Gazetteer => GeocodeMode::DirectSerial,
+            BackendChoice::Yahoo => GeocodeMode::YahooXml,
+            BackendChoice::Resilient => GeocodeMode::Resilient,
         };
-        metrics.threads = if parallel { threads } else { 1 };
+        metrics.threads = 1;
         let backend = self.build_backend();
-        let mut out: Vec<ResolvedFix> = vec![None; fixes.len()];
-        if parallel {
-            metrics.blocks_per_thread =
-                geocode_parallel(backend.as_ref(), fixes, &mut out, threads);
-        } else {
-            for (slot, &(_, _, p, _)) in out.iter_mut().zip(fixes) {
-                *slot = resolve_one(backend.as_ref(), p);
-            }
-        }
+        let out = fixes
+            .iter()
+            .map(|&(_, _, p, _)| resolve_one(backend.as_ref(), p))
+            .collect();
         // Thread the backend's traffic report into the metrics; an empty
         // cohort never dials out, so its quota-day count is zero by
         // construction (day accounting starts at the first lookup).
@@ -1161,7 +1123,7 @@ impl<'g> RefinementPipeline<'g> {
     /// backend is the in-process gazetteer (remote backends have pinned
     /// per-lookup traffic a skipped scan would change).
     pub(crate) fn sketch_fingerprint(&self) -> Option<u64> {
-        (self.config.sketches() && self.config.effective_backend() == BackendChoice::Gazetteer)
+        (self.config.sketches() && self.config.backend() == BackendChoice::Gazetteer)
             .then(|| sketch::gazetteer_fingerprint(self.gazetteer))
     }
 
@@ -1250,62 +1212,6 @@ pub(crate) fn resolve_one(backend: &dyn Geocoder, p: Point) -> ResolvedFix {
     backend.resolve_id(p).ok().flatten()
 }
 
-/// Fans the geocode stage out over `threads` workers with a dynamic block
-/// scheduler: an atomic cursor hands out [`GEOCODE_BLOCK`]-sized index
-/// ranges, each worker geocodes its range into a thread-local buffer, and
-/// the buffers land in `out` by input index — so the output is byte-for-byte
-/// the serial result regardless of interleaving. Works for any backend:
-/// [`Geocoder`] is `Sync`, so even the XML endpoint (atomics since the
-/// `Cell` fix) can be driven from many threads. Returns the number of
-/// blocks each worker completed (the scheduler-balance signal surfaced in
-/// [`GeocodeMetrics::blocks_per_thread`]).
-fn geocode_parallel(
-    backend: &dyn Geocoder,
-    fixes: &[Fix],
-    out: &mut [ResolvedFix],
-    threads: usize,
-) -> Vec<u64> {
-    // Block size shrinks for small inputs so every thread gets work, but
-    // never below a granule that keeps cursor traffic negligible.
-    let block = (fixes.len().div_ceil(threads * 4)).clamp(64, GEOCODE_BLOCK);
-    let cursor = AtomicUsize::new(0);
-    let mut per_thread_blocks = vec![0u64; threads];
-    std::thread::scope(|s| {
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            workers.push(s.spawn(move || {
-                let mut parts: Vec<(usize, Vec<ResolvedFix>)> = Vec::new();
-                let mut blocks = 0u64;
-                loop {
-                    let start = cursor.fetch_add(block, Ordering::Relaxed);
-                    if start >= fixes.len() {
-                        break;
-                    }
-                    let end = (start + block).min(fixes.len());
-                    let mut resolved = Vec::with_capacity(end - start);
-                    for &(_, _, p, _) in &fixes[start..end] {
-                        resolved.push(resolve_one(backend, p));
-                    }
-                    blocks += 1;
-                    parts.push((start, resolved));
-                }
-                (parts, blocks)
-            }));
-        }
-        for (t, worker) in workers.into_iter().enumerate() {
-            let (parts, blocks) = worker.join().expect("geocode worker panicked");
-            per_thread_blocks[t] = blocks;
-            for (start, resolved) in parts {
-                for (slot, value) in out[start..start + resolved.len()].iter_mut().zip(resolved) {
-                    *slot = value;
-                }
-            }
-        }
-    });
-    per_thread_blocks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1378,7 +1284,7 @@ mod tests {
         };
         let direct = RefinementPipeline::with_defaults(g).execute(profiles(), tweets());
         let via_xml = PipelineBuilder::new(g)
-            .via_yahoo_xml(true)
+            .backend(BackendChoice::Yahoo)
             .threads(1)
             .build()
             .unwrap()
@@ -1437,7 +1343,8 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        // Enough fixes to trip the parallel path (≥ 1024).
+        // 1,200 fixes: enough to trip the fused engine's parallel path
+        // (≥ 1,024 buffered rows).
         let tweets = || {
             let mut v = Vec::new();
             let mut id = 0u64;
@@ -1455,7 +1362,6 @@ mod tests {
             v
         };
         let serial = PipelineBuilder::new(g)
-            .via_yahoo_xml(false)
             .threads(1)
             .build()
             .unwrap()
@@ -1465,7 +1371,6 @@ mod tests {
         // on a small CI machine. Morsels shrink so 8 workers have ≥ 8
         // morsels of initial work (1200 rows / 128 = 10 morsels).
         let parallel = PipelineBuilder::new(g)
-            .via_yahoo_xml(false)
             .threads(8)
             .threads_exact(true)
             .morsel_rows(128)
@@ -1493,13 +1398,28 @@ mod tests {
             parallel.metrics.geocode.blocks_per_thread
         );
         assert_eq!(parallel.metrics.geocode.blocks_per_thread.len(), 8);
+
+        // The staged reference is serial at any thread count, even an
+        // exact 8: one geocode loop in input order, one grouping walk.
+        let staged = PipelineBuilder::new(g)
+            .staged()
+            .threads(8)
+            .threads_exact(true)
+            .build()
+            .unwrap()
+            .execute(profiles(), tweets());
+        assert_eq!(staged.users, serial.users);
+        assert_eq!(staged.metrics.geocode.mode, GeocodeMode::DirectSerial);
+        assert_eq!(staged.metrics.geocode.threads, 1);
+        assert!(staged.metrics.geocode.blocks_per_thread.is_empty());
+        assert_eq!(staged.metrics.grouping.threads, 1);
     }
 
     #[test]
     fn empty_cohort_consumes_no_quota_days() {
         let g = gaz();
         let pipe = PipelineBuilder::new(g)
-            .via_yahoo_xml(true)
+            .backend(BackendChoice::Yahoo)
             .threads(1)
             .build()
             .unwrap();
@@ -1515,7 +1435,7 @@ mod tests {
 
         // And a run that does geocode reports at least one simulated day.
         let busy = PipelineBuilder::new(g)
-            .via_yahoo_xml(true)
+            .backend(BackendChoice::Yahoo)
             .threads(1)
             .build()
             .unwrap()

@@ -1,12 +1,13 @@
 //! The fused, morsel-driven execution engine (stages 2–3 in one pass).
 //!
-//! The staged reference path runs the paper's §III pipeline as four
+//! The staged reference path runs the paper's §III pipeline serially as
 //! barrier-separated stages, materializing a fix vector, a resolved
-//! vector, and a per-user key map between them — two of those stages
-//! serial. This engine fuses them: tweet rows stream in fixed-size
-//! **columnar morsels** handed out by a work-stealing source, and each
-//! worker runs filter → GPS check → kept-user probe → bbox prescreen →
-//! batched geocode → intern → [`LocationKey`] emission in one pass.
+//! vector, and a per-user key map between them. This engine fuses them,
+//! and it is the only code in this crate that spawns threads: tweet rows
+//! stream in fixed-size **columnar morsels** handed out by a
+//! work-stealing source, and each worker runs filter → GPS check →
+//! kept-user probe → bbox prescreen → batched geocode → intern →
+//! [`LocationKey`] emission in one pass.
 //! Nothing row-shaped survives a morsel: the only growing intermediate is
 //! the emitted key itself.
 //!
@@ -75,8 +76,8 @@ use crate::intern::{DistrictId, DistrictInterner, LocationKey};
 use crate::metrics::{ExecMetrics, ExecMode, GeocodeMode, PipelineMetrics};
 
 /// Below this many prefetched rows the fused pass stays on the calling
-/// thread — same rationale (and value) as the staged geocode stage's
-/// spawn threshold.
+/// thread: spawning workers would cost more than they save on so small
+/// an input.
 pub const FUSED_PARALLEL_THRESHOLD: usize = 1024;
 
 /// Serial warmup morsels the adaptive scheduler samples before deciding

@@ -28,10 +28,6 @@
 //!   [`DurableSession::open`] resumes from the newest intact checkpoint
 //!   plus a WAL tail replay — never the whole corpus — surviving torn
 //!   WAL tails and torn checkpoint frames alike.
-//! * [`ShardedDurableSession`] — the same shell over one WAL *per user
-//!   shard* (placement by [`stir_tweetstore::shard_of`]): each shard's
-//!   torn tail truncates independently, and a checkpoint frame carries
-//!   per-shard replay ordinals so resume replays only each shard's tail.
 //!
 //! Snapshot format (version 1, all integers LE): version, interner length
 //! (guard — the snapshot's district ids are indexes into the pipeline's
@@ -46,9 +42,7 @@ use std::path::{Path, PathBuf};
 use stir_geoindex::Point;
 use stir_geokr::service::Geocoder;
 use stir_tweetstore::persist::PersistError;
-use stir_tweetstore::{
-    append_snapshot, latest_snapshot, shard_of, SegmentRef, TweetRecord, TweetStore, Wal,
-};
+use stir_tweetstore::{append_snapshot, latest_snapshot, SegmentRef, TweetRecord, TweetStore, Wal};
 
 use crate::funnel::CollectionFunnel;
 use crate::grouping::{materialize_user, merged_cmp, GroupedUser, MergedId, TieBreak};
@@ -898,161 +892,6 @@ impl<'g> DurableSession<'g> {
     }
 }
 
-/// Serializes a sharded checkpoint payload: shard count, one replay
-/// ordinal per shard, then the opaque session snapshot bytes.
-fn encode_sharded_snapshot(ordinals: &[u64], snap: &SessionSnapshot) -> Vec<u8> {
-    let mut b = Vec::with_capacity(4 + ordinals.len() * 8 + snap.as_bytes().len());
-    b.extend_from_slice(&(ordinals.len() as u32).to_le_bytes());
-    for &o in ordinals {
-        b.extend_from_slice(&o.to_le_bytes());
-    }
-    b.extend_from_slice(snap.as_bytes());
-    b
-}
-
-/// Inverse of [`encode_sharded_snapshot`]. Returns `None` when the payload
-/// is malformed or was written for a different shard count — placement
-/// depends on the count, so such a checkpoint cannot be resumed.
-fn decode_sharded_snapshot(payload: &[u8], shards: usize) -> Option<(Vec<u64>, SessionSnapshot)> {
-    let n = u32::from_le_bytes(payload.get(..4)?.try_into().ok()?) as usize;
-    if n != shards {
-        return None;
-    }
-    let mut ordinals = Vec::with_capacity(n);
-    let mut off = 4;
-    for _ in 0..n {
-        ordinals.push(u64::from_le_bytes(
-            payload.get(off..off + 8)?.try_into().ok()?,
-        ));
-        off += 8;
-    }
-    Some((
-        ordinals,
-        SessionSnapshot::from_bytes(payload[off..].to_vec()),
-    ))
-}
-
-/// An [`AnalysisSession`] behind one WAL *per user shard*, the service
-/// counterpart of [`stir_tweetstore::ShardedDurableStore`]. Every ingest
-/// is appended to the author's shard log (placement by
-/// [`stir_tweetstore::shard_of`] — the store layer's invariant) before it
-/// touches state; a crash that tears one shard's tail truncates only that
-/// shard on recovery. Checkpoint frames embed per-shard replay ordinals,
-/// so [`ShardedDurableSession::open`] replays each shard only from where
-/// the newest usable checkpoint left it. Query results are identical to
-/// the single-WAL session over the same tweets: live state is keyed per
-/// user and every user's records live in exactly one shard, in append
-/// order.
-pub struct ShardedDurableSession<'g> {
-    session: AnalysisSession<'g>,
-    wals: Vec<Wal>,
-    shard_counts: Vec<u64>,
-    snap_path: PathBuf,
-}
-
-impl<'g> ShardedDurableSession<'g> {
-    /// Opens (or resumes) the service from `dir`, which holds one
-    /// `wal-NNN.log` per shard plus a `session.snap` checkpoint log.
-    /// Every shard's torn tail is truncated independently; a checkpoint
-    /// is used only if it was written for the same shard count and every
-    /// per-shard ordinal it covers survived that shard's recovery.
-    /// `profiles` is consumed only when no usable checkpoint exists.
-    pub fn open<PI>(
-        dir: &Path,
-        shards: usize,
-        pipeline: RefinementPipeline<'g>,
-        profiles: PI,
-    ) -> Result<Self, PersistError>
-    where
-        PI: IntoIterator<Item = ProfileRow>,
-    {
-        let shards = shards.max(1);
-        std::fs::create_dir_all(dir)?;
-        let mut stores = Vec::with_capacity(shards);
-        let mut recovered = Vec::with_capacity(shards);
-        let mut wals = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let path = stir_tweetstore::shard::wal_path(dir, i);
-            let (store, count) = if path.exists() {
-                Wal::recover(&path)?
-            } else {
-                (TweetStore::new(), 0)
-            };
-            stores.push(store);
-            recovered.push(count);
-            wals.push(Wal::open(&path)?);
-        }
-        let snap_path = dir.join("session.snap");
-        let checkpoint = latest_snapshot(&snap_path)?
-            .and_then(|frame| decode_sharded_snapshot(&frame.payload, shards))
-            .filter(|(ordinals, _)| ordinals.iter().zip(&recovered).all(|(o, r)| o <= r))
-            .and_then(|(ordinals, snap)| {
-                snap.decode(pipeline.interner().len())
-                    .ok()
-                    .map(|state| (ordinals, state))
-            });
-        let (replay_from, mut session) = match checkpoint {
-            Some((ordinals, state)) => (ordinals, AnalysisSession::from_state(pipeline, state)),
-            None => (vec![0; shards], AnalysisSession::new(pipeline, profiles)),
-        };
-        for (store, &from) in stores.iter().zip(&replay_from) {
-            for rec in store.scan_from(from).flatten() {
-                session.ingest(rec.user, rec.timestamp, rec.gps);
-            }
-        }
-        Ok(ShardedDurableSession {
-            session,
-            wals,
-            shard_counts: recovered,
-            snap_path,
-        })
-    }
-
-    /// Shard count this service was opened with.
-    pub fn shard_count(&self) -> usize {
-        self.wals.len()
-    }
-
-    /// Ingests one tweet: the author's shard WAL first, then live state.
-    /// Call [`ShardedDurableSession::sync`] to make acknowledged appends
-    /// crash-safe.
-    pub fn ingest(&mut self, rec: &TweetRecord) -> Result<(), PersistError> {
-        let shard = shard_of(rec.user, self.wals.len());
-        self.wals[shard].append(rec)?;
-        self.shard_counts[shard] += 1;
-        self.session.ingest(rec.user, rec.timestamp, rec.gps);
-        Ok(())
-    }
-
-    /// Fsyncs every shard WAL — the ingest durability point.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        for wal in &mut self.wals {
-            wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// Persists the current state as a checkpoint frame carrying each
-    /// shard's replay ordinal. All shard WALs are synced first so the
-    /// checkpoint can never cover records a log does not hold.
-    pub fn checkpoint(&mut self) -> Result<(), PersistError> {
-        self.sync()?;
-        let snap = self.session.snapshot();
-        let payload = encode_sharded_snapshot(&self.shard_counts, &snap);
-        append_snapshot(&self.snap_path, self.session.ingested(), &payload)
-    }
-
-    /// The live session.
-    pub fn session(&self) -> &AnalysisSession<'g> {
-        &self.session
-    }
-
-    /// Starts a query over live state.
-    pub fn query(&self) -> SessionQuery<'_, 'g> {
-        self.session.query()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1362,94 +1201,6 @@ mod tests {
         let svc = DurableSession::open(&wal_path, &snap_path, pipeline, profiles()).unwrap();
         assert_eq!(svc.session().ingested(), all.len() as u64);
         assert_result_identical(&svc.query().execute(), &batch_result(g));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_session_matches_batch_across_reopen() {
-        let g = gaz();
-        let dir = std::env::temp_dir().join(format!("stir-svc-sharded-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let all = tweets();
-        let rec = |i: usize, t: &(u64, u64, Option<Point>)| TweetRecord {
-            id: i as u64,
-            user: t.0,
-            timestamp: t.1,
-            gps: t.2,
-            text: String::new(),
-        };
-        {
-            let pipeline = PipelineBuilder::new(g).build().unwrap();
-            let mut svc = ShardedDurableSession::open(&dir, 4, pipeline, profiles()).unwrap();
-            assert_eq!(svc.shard_count(), 4);
-            for (i, t) in all.iter().enumerate() {
-                svc.ingest(&rec(i, t)).unwrap();
-            }
-            svc.sync().unwrap();
-            assert_result_identical(&svc.query().execute(), &batch_result(g));
-        }
-        // Cold restart: per-shard tails replay into the same state.
-        let pipeline = PipelineBuilder::new(g).build().unwrap();
-        let svc = ShardedDurableSession::open(&dir, 4, pipeline, profiles()).unwrap();
-        assert_eq!(svc.session().ingested(), all.len() as u64);
-        assert_result_identical(&svc.query().execute(), &batch_result(g));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sharded_session_recovers_torn_tails_on_every_shard() {
-        let g = gaz();
-        let dir = std::env::temp_dir().join(format!("stir-svc-torn-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        const SHARDS: usize = 4;
-        let all = tweets();
-        let rec = |i: usize, t: &(u64, u64, Option<Point>)| TweetRecord {
-            id: i as u64,
-            user: t.0,
-            timestamp: t.1,
-            gps: t.2,
-            text: String::new(),
-        };
-        {
-            let pipeline = PipelineBuilder::new(g).build().unwrap();
-            let mut svc = ShardedDurableSession::open(&dir, SHARDS, pipeline, profiles()).unwrap();
-            for (i, t) in all[..3].iter().enumerate() {
-                svc.ingest(&rec(i, t)).unwrap();
-            }
-            svc.checkpoint().unwrap();
-            for (i, t) in all[3..].iter().enumerate() {
-                svc.ingest(&rec(3 + i, t)).unwrap();
-            }
-            svc.sync().unwrap();
-        }
-        // Crash mid-append on EVERY shard at once: each log gains a torn
-        // partial frame after the synced tail.
-        let mut clean_lens = Vec::new();
-        for i in 0..SHARDS {
-            let path = stir_tweetstore::shard::wal_path(&dir, i);
-            clean_lens.push(std::fs::metadata(&path).unwrap().len());
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            use std::io::Write;
-            f.write_all(&[0x40, 0x00, 0x00, 0x00, 0xde, 0xad]).unwrap();
-            f.sync_all().unwrap();
-        }
-        // Reopen: each shard truncates its own torn tail; the checkpoint
-        // (3 records) plus per-shard tail replay rebuilds everything.
-        let pipeline = PipelineBuilder::new(g).build().unwrap();
-        let svc = ShardedDurableSession::open(&dir, SHARDS, pipeline, profiles()).unwrap();
-        assert_eq!(svc.session().ingested(), all.len() as u64);
-        assert_result_identical(&svc.query().execute(), &batch_result(g));
-        for (i, &len) in clean_lens.iter().enumerate() {
-            let path = stir_tweetstore::shard::wal_path(&dir, i);
-            assert_eq!(
-                std::fs::metadata(&path).unwrap().len(),
-                len,
-                "shard {i} torn tail not truncated"
-            );
-        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! Concurrency tests for the sharded reverse geocoder: many threads
 //! hammering one instance must produce exactly the serial answers and
-//! exactly-counted statistics. These are the guarantees the pipeline's
-//! dynamic scheduler builds on.
+//! exactly-counted statistics. These are the guarantees the fused
+//! pipeline's workers build on.
 
 use proptest::prelude::*;
 use stir_geoindex::Point;

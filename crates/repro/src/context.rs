@@ -15,15 +15,13 @@ pub struct Options {
     pub seed: u64,
     /// Dataset scale relative to the paper (1.0 = paper scale).
     pub scale: f64,
-    /// Geocoding thread ceiling — the scheduler adapts downward to the
-    /// machine unless `--threads-exact`.
+    /// The fused engine's thread ceiling — the scheduler adapts downward
+    /// to the machine unless `--threads-exact`. `--staged` runs serially
+    /// at any value.
     pub threads: usize,
     /// Obey `--threads` exactly (`--threads-exact`): skip the adaptive
     /// availability cap and warmup collapse. Bench escape hatch.
     pub threads_exact: bool,
-    /// Route geocoding through the mock Yahoo XML endpoint (legacy spelling
-    /// of `--backend yahoo`).
-    pub via_yahoo_xml: bool,
     /// Geocoding backend (`--backend {gazetteer,yahoo,resilient}`).
     pub backend: BackendChoice,
     /// Fault schedule injected at the Yahoo endpoint (`--faults <spec>`).
@@ -65,7 +63,6 @@ impl Default for Options {
             scale: 0.1,
             threads: 8,
             threads_exact: false,
-            via_yahoo_xml: false,
             backend: BackendChoice::default(),
             faults: FaultPlan::default(),
             verbose: false,
@@ -106,7 +103,6 @@ pub fn lady_gaga_spec(opts: &Options) -> DatasetSpec {
 /// options (backend, faults, threading, fused/staged engine).
 pub fn pipeline(gazetteer: &'static Gazetteer, opts: &Options) -> RefinementPipeline<'static> {
     PipelineBuilder::new(gazetteer)
-        .via_yahoo_xml(opts.via_yahoo_xml)
         .backend(opts.backend)
         .faults(opts.faults)
         .threads(opts.threads)

@@ -23,7 +23,6 @@ pub fn run(opts: &Options) {
         .into_iter()
         .map(|grain| {
             let pipeline = PipelineBuilder::new(g)
-                .via_yahoo_xml(opts.via_yahoo_xml)
                 .backend(opts.backend)
                 .faults(opts.faults)
                 .threads(opts.threads)

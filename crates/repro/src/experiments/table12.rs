@@ -20,7 +20,6 @@ fn sample_strings(opts: &Options, max_users: usize) -> Vec<Vec<LocationString>> 
     };
     let dataset = Dataset::generate(spec, g, opts.seed);
     let pipeline = PipelineBuilder::new(g)
-        .via_yahoo_xml(opts.via_yahoo_xml)
         .backend(opts.backend)
         .faults(opts.faults)
         .threads(opts.threads)

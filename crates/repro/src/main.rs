@@ -113,7 +113,6 @@ fn parse(args: &[String]) -> Result<(String, Options, PathBuf), String> {
                     .map_err(|_| "--threads must be an integer")?;
             }
             "--threads-exact" => opts.threads_exact = true,
-            "--via-yahoo-xml" => opts.via_yahoo_xml = true,
             "--backend" => {
                 opts.backend = it
                     .next()
@@ -175,7 +174,7 @@ fn print_help() {
         "repro — regenerate the paper's tables and figures\n\n\
          usage: repro <experiment> [--seed N] [--scale F] [--paper-scale] [--threads N]\n\
          \x20                        [--threads-exact] [--backend gazetteer|yahoo|resilient]\n\
-         \x20                        [--faults SPEC] [--via-yahoo-xml] [--from-store] [--shards N]\n\
+         \x20                        [--faults SPEC] [--from-store] [--shards N]\n\
          \x20                        [--store-format v1|v2] [--sketches on|off] [--staged] [--verbose]\n\n\
          --threads is a ceiling: the scheduler caps it at the machine's cores and falls\n\
          back to serial when a warmup sample shows workers time-slicing; --threads-exact\n\
@@ -192,8 +191,8 @@ fn print_help() {
          --sketches on (with --from-store) materializes a group sketch per sealed segment\n\
          and answers the grouping from the sketch delta merge plus an open-tail scan\n\
          instead of scanning every record — again byte-identical, only faster;\n\
-         --staged runs the staged reference pipeline instead of the fused morsel-driven\n\
-         engine (again byte-identical — the flag exists to prove it);\n\
+         --staged runs the serial staged reference pipeline (it ignores --threads) instead\n\
+         of the fused morsel-driven engine (again byte-identical — the flag exists to prove it);\n\
          --restore-midway (stream only) checkpoints the durable session halfway through\n\
          the firehose, drops it, and resumes from disk — output stays byte-identical\n\n\
          experiments: table1 table2 fig3 fig4 fig5 funnel fig6 fig7 tweets compare eventloc ablation regional export detect nonegroup diurnal report sensitivity stream all"
@@ -214,7 +213,7 @@ mod tests {
         assert_eq!(cmd, "fig7");
         assert_eq!(opts.seed, 2012);
         assert!((opts.scale - 0.1).abs() < 1e-12);
-        assert!(!opts.via_yahoo_xml);
+        assert_eq!(opts.backend, stir_core::BackendChoice::Gazetteer);
         assert_eq!(out, PathBuf::from("repro-out"));
     }
 
@@ -228,7 +227,8 @@ mod tests {
             "0.5",
             "--threads",
             "2",
-            "--via-yahoo-xml",
+            "--backend",
+            "yahoo",
             "--from-store",
             "--verbose",
             "--out",
@@ -239,7 +239,7 @@ mod tests {
         assert_eq!(opts.seed, 7);
         assert!((opts.scale - 0.5).abs() < 1e-12);
         assert_eq!(opts.threads, 2);
-        assert!(opts.via_yahoo_xml);
+        assert_eq!(opts.backend, stir_core::BackendChoice::Yahoo);
         assert!(opts.from_store);
         assert!(opts.verbose);
         assert_eq!(out, PathBuf::from("/tmp/x"));

@@ -74,4 +74,4 @@ pub use shard::{
 pub use sketch::{DaySketch, DayTotal, GroupSketch, SketchEntry, SketchResolver, UserSketch};
 pub use snapshot::{append_snapshot, latest_snapshot, SnapshotFrame};
 pub use store::{RecordPtr, SegmentRef, StoreFormat, StoreStats, TweetStore};
-pub use wal::{DurableStore, Wal, WalRecovery};
+pub use wal::{Wal, WalRecovery};

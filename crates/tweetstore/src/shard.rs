@@ -631,8 +631,9 @@ impl ShardedDurableStore {
     /// [`ShardedDurableStore::open`] with an explicit segment threshold
     /// and sealed-segment format. WAL recovery itself is format-agnostic —
     /// logs hold `STIRWAL1` row frames either way, and replay rebuilds
-    /// row segments byte-identically — the format only governs how
-    /// segments sealed *after* recovery are encoded.
+    /// row segments byte-identically, rolling them at `segment_bytes` as
+    /// the writer did — the format only governs how segments sealed
+    /// *after* recovery are encoded.
     pub fn open_with_segment_bytes_and_format(
         dir: &Path,
         shards: usize,
@@ -648,7 +649,7 @@ impl ShardedDurableStore {
             let path = wal_path(dir, i);
             let (store, rec) = if path.exists() {
                 let before = std::fs::metadata(&path)?.len();
-                let (store, recovered) = Wal::recover(&path)?;
+                let (store, recovered) = Wal::recover_with_segment_bytes(&path, segment_bytes)?;
                 let after = std::fs::metadata(&path)?.len();
                 (
                     store,
@@ -989,10 +990,20 @@ mod tests {
             let rb: Vec<_> = sb.scan().map(|r| r.unwrap()).collect();
             assert_eq!(ra, rb, "per-shard append order must match");
         }
-        // Reopen both: full recovery on every shard.
+        // Reopen both: full recovery on every shard, rolled at the
+        // segment size the store was opened with.
+        let layout = |s: &ShardedStore| -> Vec<(usize, u32)> {
+            s.shards()
+                .iter()
+                .map(|s| (s.segment_bytes(), s.stats().segments))
+                .collect()
+        };
+        let before = layout(a.store());
+        assert!(before.iter().any(|&(_, segs)| segs > 1), "{before:?}");
         drop(a);
         let a2 = ShardedDurableStore::open_with_segment_bytes(&dir_a, 6, 4096).unwrap();
         assert_eq!(a2.store().len(), 1200);
+        assert_eq!(layout(a2.store()), before);
         for r in a2.store().recovery() {
             let r = r.as_ref().unwrap();
             assert_eq!(r.truncated_bytes, 0);
@@ -1005,6 +1016,23 @@ mod tests {
                 .sum::<u64>(),
             1200
         );
+        // One shard: reopen → append → reopen keeps every record.
+        let dir_c = base.join("one-shard");
+        {
+            let mut one = ShardedDurableStore::open(&dir_c, 1).unwrap();
+            for r in &records[..30] {
+                one.append(r).unwrap();
+            }
+            one.sync().unwrap();
+        }
+        {
+            let mut one = ShardedDurableStore::open(&dir_c, 1).unwrap();
+            assert_eq!(one.store().len(), 30, "recovery on reopen");
+            one.append(&records[100]).unwrap();
+            one.sync().unwrap();
+        }
+        let one = ShardedDurableStore::open(&dir_c, 1).unwrap();
+        assert_eq!(one.store().len(), 31);
         std::fs::remove_dir_all(&base).unwrap();
     }
 

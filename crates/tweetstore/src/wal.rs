@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 
 use crate::codec::{decode_view, encode_record, fnv1a, TweetRecord};
 use crate::persist::PersistError;
+use crate::segment::DEFAULT_SEGMENT_BYTES;
 use crate::store::TweetStore;
 
 /// Magic header of WAL files.
@@ -123,14 +124,33 @@ impl Wal {
     /// Replays the log into a fresh store. Stops at the first torn or
     /// corrupt frame, truncates the file there, and returns the store plus
     /// the number of recovered records.
+    ///
+    /// A file shorter than the header whose bytes are a prefix of it (the
+    /// empty file included) is a crash between creating the log and
+    /// syncing its header: it holds no record, so it recovers as 0 records
+    /// and is emptied for [`Wal::open`] to write a clean header. Any other
+    /// file that lacks the header is [`PersistError::BadMagic`].
     pub fn recover(path: &Path) -> Result<(TweetStore, u64), PersistError> {
+        Self::recover_with_segment_bytes(path, DEFAULT_SEGMENT_BYTES)
+    }
+
+    /// [`Wal::recover`] into a store that seals segments at
+    /// `segment_bytes`, so a reopened log rolls where its writer did.
+    pub(crate) fn recover_with_segment_bytes(
+        path: &Path,
+        segment_bytes: usize,
+    ) -> Result<(TweetStore, u64), PersistError> {
         let mut file = File::open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+        let mut store = TweetStore::with_segment_bytes(segment_bytes);
+        if bytes.len() < MAGIC.len() && MAGIC.starts_with(&bytes) {
+            truncate(path, 0)?;
+            return Ok((store, 0));
+        }
+        if !bytes.starts_with(MAGIC) {
             return Err(PersistError::BadMagic);
         }
-        let mut store = TweetStore::new();
         let mut recovered = 0u64;
         let mut at = MAGIC.len();
         let valid_end = loop {
@@ -158,51 +178,18 @@ impl Wal {
         };
         if valid_end < bytes.len() {
             // Drop the broken tail so the log is clean for further appends.
-            let f = OpenOptions::new().write(true).open(path)?;
-            f.set_len(valid_end as u64)?;
-            f.sync_all()?;
+            truncate(path, valid_end as u64)?;
         }
         Ok((store, recovered))
     }
 }
 
-/// A store coupled to a WAL: appends hit the log first, then the in-memory
-/// store; `sync` defines the durability boundary.
-pub struct DurableStore {
-    store: TweetStore,
-    wal: Wal,
-}
-
-impl DurableStore {
-    /// Opens the WAL at `path`, recovers any existing records into the
-    /// store, and returns the coupled pair.
-    pub fn open(path: &Path) -> Result<Self, PersistError> {
-        let (store, _) = if path.exists() {
-            Wal::recover(path)?
-        } else {
-            (TweetStore::new(), 0)
-        };
-        let wal = Wal::open(path)?;
-        Ok(DurableStore { store, wal })
-    }
-
-    /// Appends durably-loggable record (call [`DurableStore::sync`] to make
-    /// it crash-safe).
-    pub fn append(&mut self, rec: &TweetRecord) -> Result<(), PersistError> {
-        self.wal.append(rec)?;
-        self.store.append(rec);
-        Ok(())
-    }
-
-    /// Fsyncs the log.
-    pub fn sync(&mut self) -> Result<(), PersistError> {
-        self.wal.sync()
-    }
-
-    /// The in-memory store.
-    pub fn store(&self) -> &TweetStore {
-        &self.store
-    }
+/// Cuts the file at `path` to `len` bytes, durably.
+fn truncate(path: &Path, len: u64) -> Result<(), PersistError> {
+    let f = OpenOptions::new().write(true).open(path)?;
+    f.set_len(len)?;
+    f.sync_all()?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -306,36 +293,27 @@ mod tests {
     }
 
     #[test]
-    fn durable_store_survives_reopen() {
-        let path = tmp("durable");
-        {
-            let mut ds = DurableStore::open(&path).unwrap();
-            for i in 0..30 {
-                ds.append(&rec(i)).unwrap();
-            }
-            ds.sync().unwrap();
-            assert_eq!(ds.store().len(), 30);
-        }
-        {
-            let mut ds = DurableStore::open(&path).unwrap();
-            assert_eq!(ds.store().len(), 30, "recovery on reopen");
-            ds.append(&rec(100)).unwrap();
-            ds.sync().unwrap();
-        }
-        let ds = DurableStore::open(&path).unwrap();
-        assert_eq!(ds.store().len(), 31);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn empty_wal_recovers_empty() {
-        let path = tmp("empty");
-        {
-            Wal::open(&path).unwrap();
+        // A fresh log holds only its header. A crash after the file exists
+        // but before its header is synced leaves a prefix of the header,
+        // possibly empty: that holds no record either and reopens clean.
+        for (tag, bytes) in [
+            ("empty", &MAGIC[..]),
+            ("torn-none", &b""[..]),
+            ("torn-sti", &b"STI"[..]),
+        ] {
+            let path = tmp(tag);
+            std::fs::write(&path, bytes).unwrap();
+            let (store, recovered) = Wal::recover(&path).unwrap();
+            assert_eq!(recovered, 0, "{tag}");
+            assert!(store.is_empty(), "{tag}");
+            let mut wal = Wal::open(&path).unwrap();
+            wal.append(&rec(7)).unwrap();
+            wal.sync().unwrap();
+            let (store, recovered) = Wal::recover(&path).unwrap();
+            assert_eq!(recovered, 1, "{tag}");
+            assert_eq!(store.get_by_id(7).unwrap(), rec(7), "{tag}");
+            std::fs::remove_file(&path).unwrap();
         }
-        let (store, recovered) = Wal::recover(&path).unwrap();
-        assert_eq!(recovered, 0);
-        assert!(store.is_empty());
-        std::fs::remove_file(&path).unwrap();
     }
 }

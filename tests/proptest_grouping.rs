@@ -3,9 +3,9 @@
 
 use proptest::prelude::*;
 use stir::core::{
-    group_cohort_with_block, group_user_keys_with, group_user_strings, group_user_strings_with,
-    DistrictInterner, GroupTable, LocationKey, LocationString, ProfileRow, RefinementPipeline,
-    TieBreak, TopKGroup, TweetRow,
+    group_user_keys_with, group_user_strings, group_user_strings_with, DistrictInterner,
+    GroupTable, LocationKey, LocationString, ProfileRow, RefinementPipeline, TieBreak, TopKGroup,
+    TweetRow,
 };
 use stir::geoindex::Point;
 use stir::geokr::Gazetteer;
@@ -188,55 +188,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_grouping_equals_serial_at_any_geometry(
-        sizes in prop::collection::vec(0usize..9, 1..40),
-        threads in 1usize..9,
-        block in 1usize..65,
-        tb_idx in 0usize..4,
-    ) {
-        // A cohort with arbitrary per-user tweet counts (empty users are
-        // dropped by both paths), grouped serially and through the block
-        // scheduler at an arbitrary thread/block geometry.
-        let keys = tweet_keys();
-        let mut interner = DistrictInterner::new();
-        let ids: Vec<_> = keys
-            .iter()
-            .map(|(s, c)| interner.intern(s, c))
-            .collect();
-        let cohort: Vec<(u64, Vec<LocationKey>)> = sizes
-            .iter()
-            .enumerate()
-            .map(|(u, &n)| {
-                let user = u as u64;
-                let keys: Vec<LocationKey> = (0..n)
-                    .map(|i| LocationKey {
-                        user,
-                        profile: ids[u % ids.len()],
-                        tweet: ids[(u + 2 * i + 1) % ids.len()],
-                    })
-                    .collect();
-                (user, keys)
-            })
-            .collect();
-        let tb = POLICIES[tb_idx];
-        let (serial, serial_blocks) = group_cohort_with_block(&cohort, &interner, tb, 1, cohort.len().max(1));
-        let (parallel, blocks) = group_cohort_with_block(&cohort, &interner, tb, threads, block);
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            prop_assert_eq!(a.user, b.user);
-            prop_assert_eq!(&a.entries, &b.entries);
-            prop_assert_eq!(a.matched_rank, b.matched_rank);
-        }
-        // The scheduler accounting is exact at any geometry.
-        prop_assert_eq!(blocks.len(), threads);
-        prop_assert_eq!(
-            blocks.iter().sum::<u64>() as usize,
-            cohort.len().div_ceil(block)
-        );
-        prop_assert_eq!(serial_blocks.iter().sum::<u64>(), 1);
     }
 
     #[test]
