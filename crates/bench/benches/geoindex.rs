@@ -1,17 +1,10 @@
-//! Spatial index benchmarks: R-tree vs grid vs brute force on build,
+//! Spatial index benchmarks: R-tree vs brute force on build,
 //! bounding-box query and nearest-neighbour workloads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use stir_bench::korea_points;
-use stir_geoindex::{BBox, BruteForceIndex, GridIndex, KdTree, Point, RTree};
-
-const KOREA: BBox = BBox {
-    min_lat: 33.0,
-    min_lon: 124.5,
-    max_lat: 38.7,
-    max_lon: 131.0,
-};
+use stir_geoindex::{BBox, BruteForceIndex, Point, RTree};
 
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("geoindex/build");
@@ -29,12 +22,6 @@ fn bench_build(c: &mut Criterion) {
                 t
             })
         });
-        group.bench_with_input(BenchmarkId::new("grid", n), &pts, |b, pts| {
-            b.iter(|| GridIndex::with_items(KOREA, black_box(pts.clone()), 8))
-        });
-        group.bench_with_input(BenchmarkId::new("kdtree", n), &pts, |b, pts| {
-            b.iter(|| KdTree::build(black_box(pts.clone())))
-        });
     }
     group.finish();
 }
@@ -44,8 +31,6 @@ fn bench_query(c: &mut Criterion) {
     let n = 100_000;
     let pts = korea_points(n, 2);
     let rtree = RTree::bulk_load(pts.clone());
-    let grid = GridIndex::with_items(KOREA, pts.clone(), 8);
-    let kdtree = KdTree::build(pts.clone());
     let brute = BruteForceIndex::from_items(pts);
     let queries: Vec<BBox> = korea_points(100, 3)
         .into_iter()
@@ -67,24 +52,6 @@ fn bench_query(c: &mut Criterion) {
             black_box(total)
         })
     });
-    group.bench_function("grid", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in &queries {
-                total += grid.query_points_in(q).len();
-            }
-            black_box(total)
-        })
-    });
-    group.bench_function("kdtree", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for q in &queries {
-                total += kdtree.query_bbox(q).len();
-            }
-            black_box(total)
-        })
-    });
     group.bench_function("brute_force", |b| {
         b.iter(|| {
             let mut total = 0usize;
@@ -101,8 +68,6 @@ fn bench_nearest(c: &mut Criterion) {
     let mut group = c.benchmark_group("geoindex/nearest");
     let pts = korea_points(100_000, 4);
     let rtree = RTree::bulk_load(pts.clone());
-    let grid = GridIndex::with_items(KOREA, pts.clone(), 8);
-    let kdtree = KdTree::build(pts.clone());
     let brute = BruteForceIndex::from_items(pts);
     let queries: Vec<Point> = korea_points(256, 5);
     group.bench_function("rtree", |b| {
@@ -110,22 +75,6 @@ fn bench_nearest(c: &mut Criterion) {
             queries
                 .iter()
                 .map(|&q| rtree.nearest(q).unwrap().0)
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("grid", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|&q| grid.nearest(q).unwrap().0)
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("kdtree", |b| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|&q| kdtree.nearest(q).unwrap().0)
                 .sum::<usize>()
         })
     });

@@ -1,8 +1,8 @@
 //! The O(n) reference index.
 //!
-//! Answers the same queries as [`crate::RTree`] and [`crate::GridIndex`] by
-//! scanning every item. Property tests use it as the oracle; the benchmarks
-//! use it as the baseline the real indexes must beat.
+//! Answers the same queries as [`crate::RTree`] by scanning every item.
+//! Property tests use it as the oracle; the benchmarks use it as the
+//! baseline the R-tree must beat.
 
 use crate::point::{BBox, Point};
 use crate::rtree::Spatial;

@@ -12,11 +12,8 @@
 //!   deterministic interior sampling, used for synthetic district shapes.
 //! * [`RTree`] — an STR bulk-loaded R-tree with incremental insert, bounding
 //!   box queries and best-first k-nearest-neighbour search.
-//! * [`GridIndex`] — a uniform grid index with ring-expansion nearest search,
-//!   kept as a simpler comparison structure for the benchmarks.
-//! * [`KdTree`] — a median-split k-d tree for static point sets.
 //! * [`BruteForceIndex`] — the O(n) reference oracle the property tests and
-//!   benchmarks compare the real indexes against.
+//!   benchmarks compare the R-tree against.
 //!
 //! Everything here is dependency-free and deterministic.
 
@@ -24,15 +21,11 @@
 
 pub mod bruteforce;
 pub mod geohash;
-pub mod grid;
-pub mod kdtree;
 pub mod point;
 pub mod polygon;
 pub mod rtree;
 
 pub use bruteforce::BruteForceIndex;
-pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use point::{BBox, Point, EARTH_RADIUS_KM};
 pub use polygon::Polygon;
 pub use rtree::{RTree, Spatial};

@@ -1,9 +1,9 @@
-//! Property tests: the R-tree and grid index must answer every query
-//! identically to the brute-force oracle, and geohash/polygon operations must
-//! uphold their geometric invariants on arbitrary inputs.
+//! Property tests: the R-tree must answer every query identically to the
+//! brute-force oracle, and geohash/polygon operations must uphold their
+//! geometric invariants on arbitrary inputs.
 
 use proptest::prelude::*;
-use stir_geoindex::{geohash, BBox, BruteForceIndex, GridIndex, KdTree, Point, Polygon, RTree};
+use stir_geoindex::{geohash, BBox, BruteForceIndex, Point, Polygon, RTree};
 
 fn korea_point() -> impl Strategy<Value = Point> {
     (33.0f64..39.0, 124.0f64..132.0).prop_map(|(lat, lon)| Point::new(lat, lon))
@@ -73,48 +73,6 @@ proptest! {
         for (g, e) in got.iter().zip(expect.iter()) {
             prop_assert!((g.1 - e.1).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn grid_nearest_distance_equals_oracle(pts in prop::collection::vec(korea_point(), 1..150), q in world_point()) {
-        let extent = BBox::new(33.0, 124.0, 39.0, 132.0);
-        let grid = GridIndex::with_items(extent, pts.clone(), 4);
-        let oracle = BruteForceIndex::from_items(pts);
-        let (_, dg) = grid.nearest(q).unwrap();
-        let (_, db) = oracle.nearest(q).unwrap();
-        prop_assert!((dg - db).abs() < 1e-12, "grid {} vs oracle {}", dg, db);
-    }
-
-    #[test]
-    fn grid_query_equals_oracle(pts in prop::collection::vec(korea_point(), 0..200), q in korea_bbox()) {
-        let extent = BBox::new(33.0, 124.0, 39.0, 132.0);
-        let grid = GridIndex::with_items(extent, pts.clone(), 4);
-        let oracle = BruteForceIndex::from_items(pts);
-        let mut got = grid.query_points_in(&q);
-        let mut expect = oracle.query_points_in(&q);
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn kdtree_bbox_query_equals_oracle(pts in prop::collection::vec(korea_point(), 0..200), q in korea_bbox()) {
-        let tree = KdTree::build(pts.clone());
-        let oracle = BruteForceIndex::from_items(pts);
-        let mut got = tree.query_bbox(&q);
-        let mut expect = oracle.query_points_in(&q);
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn kdtree_nearest_distance_equals_oracle(pts in prop::collection::vec(korea_point(), 1..150), q in world_point()) {
-        let tree = KdTree::build(pts.clone());
-        let oracle = BruteForceIndex::from_items(pts);
-        let (_, dt) = tree.nearest(q).unwrap();
-        let (_, db) = oracle.nearest(q).unwrap();
-        prop_assert!((dt - db).abs() < 1e-12, "kd {} vs oracle {}", dt, db);
     }
 
     #[test]

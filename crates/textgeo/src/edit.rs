@@ -1,5 +1,39 @@
-//! Damerau–Levenshtein (optimal string alignment) edit distance with an
-//! early-exit bound, used for typo-tolerant district-name matching.
+//! Damerau–Levenshtein (optimal string alignment) edit distance for
+//! typo-tolerant district-name matching.
+//!
+//! [`within_one_edit`] is the hot path: the matcher's fuzzy pass only asks
+//! "distance ≤ 1?" of every ASCII token against every district name, and
+//! this answers it byte-wise in linear time without allocating.
+//! [`bounded_damerau_levenshtein`] is the general reference: it computes
+//! the distance up to any bound over Unicode scalar values and pins
+//! `within_one_edit` in the tests.
+
+use std::cmp::Ordering;
+
+/// Whether `a` and `b` are at most one edit apart: equal, or one
+/// substitution, insertion, deletion or adjacent transposition. Compares
+/// bytes, so it agrees with `bounded_damerau_levenshtein(a, b, 1).is_some()`
+/// whenever both inputs are ASCII.
+pub fn within_one_edit(a: &[u8], b: &[u8]) -> bool {
+    if a.len().abs_diff(b.len()) > 1 {
+        return false;
+    }
+    let prefix = a.iter().zip(b).take_while(|(x, y)| x == y).count();
+    let (a, b) = (&a[prefix..], &b[prefix..]);
+    if a.is_empty() || b.is_empty() {
+        // Equal, or one byte appended.
+        return true;
+    }
+    // The suffixes differ in their first byte, so the one edit must be
+    // there: delete it, insert it, substitute it, or swap it with the next.
+    match a.len().cmp(&b.len()) {
+        Ordering::Greater => a[1..] == *b,
+        Ordering::Less => *a == b[1..],
+        Ordering::Equal => {
+            a[1..] == b[1..] || (a.len() >= 2 && a[0] == b[1] && a[1] == b[0] && a[2..] == b[2..])
+        }
+    }
+}
 
 /// Optimal-string-alignment distance between `a` and `b`, or `None` if it
 /// exceeds `max`. Operates on Unicode scalar values.

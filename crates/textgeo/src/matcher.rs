@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use stir_geokr::{DistrictId, ForwardGeocoder, ForwardResult, Gazetteer, Province};
 
-use crate::edit::bounded_damerau_levenshtein;
+use crate::edit::within_one_edit;
 use crate::hangul::romanize;
 use crate::normalize::{join_suffix, tokens};
 
@@ -229,15 +229,10 @@ impl<'g> DistrictMatcher<'g> {
                     }
                 }
             }
-            // Fuzzy: only for reasonably long ASCII tokens carrying a suffix
-            // shape, to keep false positives down.
+            // Fuzzy: only for ASCII tokens of 6 bytes or more, to keep
+            // false positives down.
             if t.len() >= 6 && t.is_ascii() {
-                let mut hits: Vec<DistrictId> = Vec::new();
-                for (name, id) in &self.fuzzy_pool {
-                    if bounded_damerau_levenshtein(t, name, 1).is_some() {
-                        hits.push(*id);
-                    }
-                }
+                let hits = self.fuzzy_hits(t);
                 let scoped = self.scope_filter(&hits, scope);
                 for id in scoped {
                     if !found.contains(&id) {
@@ -248,6 +243,18 @@ impl<'g> DistrictMatcher<'g> {
             i += 1;
         }
         found
+    }
+
+    /// Every district whose romanized full name is within one edit of
+    /// `t`, in pool order. Byte-wise, so it matches the char-wise
+    /// Damerau–Levenshtein distance only for ASCII tokens; every pool name
+    /// is ASCII.
+    fn fuzzy_hits(&self, t: &str) -> Vec<DistrictId> {
+        self.fuzzy_pool
+            .iter()
+            .filter(|(name, _)| within_one_edit(t.as_bytes(), name.as_bytes()))
+            .map(|&(_, id)| id)
+            .collect()
     }
 
     fn scope_filter(&self, ids: &[DistrictId], scope: Option<Province>) -> Vec<DistrictId> {
@@ -384,6 +391,81 @@ mod tests {
         let (g, m) = setup();
         expect_district(&m, g, "seoul gangnm-gu", "Gangnam-gu");
         expect_district(&m, g, "seoul yangchun-gu", "Yangcheon-gu"); // paper's own spelling
+    }
+
+    #[test]
+    fn fuzzy_pool_is_ascii() {
+        // `within_one_edit` compares bytes; it answers like the char-wise
+        // distance only while every name it is asked about is ASCII.
+        let (g, m) = setup();
+        assert_eq!(m.fuzzy_pool.len(), g.len());
+        for (name, _) in &m.fuzzy_pool {
+            assert!(name.is_ascii(), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn fuzzy_hits_equal_the_edit_distance_scan_on_every_one_edit_variant() {
+        use crate::edit::bounded_damerau_levenshtein;
+        use std::collections::BTreeSet;
+        let (_, m) = setup();
+        // The scan the fuzzy pass used to run. To keep this test fast in
+        // debug builds it skips names the distance would reject anyway:
+        // one edit of a string of 3+ bytes changes its length by at most
+        // one and leaves its first or its last byte in place.
+        let oracle = |t: &str| -> Vec<DistrictId> {
+            let tb = t.as_bytes();
+            m.fuzzy_pool
+                .iter()
+                .filter(|(name, _)| {
+                    let nb = name.as_bytes();
+                    nb.len().abs_diff(tb.len()) <= 1
+                        && (nb.first() == tb.first() || nb.last() == tb.last())
+                })
+                .filter(|(name, _)| bounded_damerau_levenshtein(t, name, 1).is_some())
+                .map(|&(_, id)| id)
+                .collect()
+        };
+        // A common vowel and the hyphen, where romanized names differ.
+        const ALPHABET: &[u8] = b"e-";
+        let mut variants: BTreeSet<Vec<u8>> = BTreeSet::new();
+        for (name, _) in &m.fuzzy_pool {
+            let n = name.as_bytes();
+            for i in 0..n.len() {
+                let mut v = n.to_vec();
+                v.remove(i);
+                variants.insert(v);
+                if i + 1 < n.len() {
+                    let mut v = n.to_vec();
+                    v.swap(i, i + 1);
+                    variants.insert(v);
+                }
+            }
+            for &c in ALPHABET {
+                for i in 0..n.len() {
+                    let mut v = n.to_vec();
+                    v[i] = c;
+                    variants.insert(v);
+                }
+                for i in 0..=n.len() {
+                    let mut v = n.to_vec();
+                    v.insert(i, c);
+                    variants.insert(v);
+                }
+            }
+        }
+        let mut multi_hit = 0;
+        for v in &variants {
+            let t = std::str::from_utf8(v).expect("ASCII edits of ASCII names");
+            let hits = m.fuzzy_hits(t);
+            assert_eq!(hits, oracle(t), "{t:?}");
+            // Every variant is at most one edit from the name it came from.
+            assert!(!hits.is_empty(), "{t:?}");
+            multi_hit += usize::from(hits.len() > 1);
+        }
+        // Shared and near-shared names make some variants hit several
+        // districts, so the order of the hit list is exercised too.
+        assert!(multi_hit > 0);
     }
 
     #[test]

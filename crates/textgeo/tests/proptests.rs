@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use stir_geokr::Gazetteer;
 use stir_textgeo::coords::parse_coordinates;
-use stir_textgeo::edit::bounded_damerau_levenshtein;
+use stir_textgeo::edit::{bounded_damerau_levenshtein, within_one_edit};
 use stir_textgeo::hangul::romanize;
 use stir_textgeo::normalize::normalize;
 use stir_textgeo::segment::split_alternatives;
@@ -14,6 +14,36 @@ fn gaz() -> &'static Gazetteer {
     use std::sync::OnceLock;
     static GAZ: OnceLock<Gazetteer> = OnceLock::new();
     GAZ.get_or_init(Gazetteer::load)
+}
+
+/// The fuzzy matcher's spelling of district `pick`: its lowercased
+/// romanized full name.
+fn district_name(pick: usize) -> String {
+    let districts = gaz().districts();
+    districts[pick % districts.len()]
+        .name_en
+        .to_ascii_lowercase()
+}
+
+/// `name` after one edit at byte `at`: `kind` 0 deletes, 1 swaps with the
+/// next byte, 2 substitutes `c`, 3 inserts `c`.
+fn one_edit(name: &str, kind: usize, at: usize, c: u8) -> String {
+    let mut v = name.as_bytes().to_vec();
+    match kind {
+        0 => {
+            v.remove(at % v.len());
+        }
+        1 => {
+            let i = at % (v.len() - 1);
+            v.swap(i, i + 1);
+        }
+        2 => {
+            let i = at % v.len();
+            v[i] = c;
+        }
+        _ => v.insert(at % (v.len() + 1), c),
+    }
+    String::from_utf8(v).expect("ASCII edits of an ASCII name")
 }
 
 proptest! {
@@ -106,5 +136,38 @@ proptest! {
     #[test]
     fn romanize_passthrough_for_ascii(s in "[a-z0-9 ]{0,20}") {
         prop_assert_eq!(romanize(&s), s);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn one_edit_check_equals_the_distance_on_a_small_alphabet(a in "[ab-]{0,8}", b in "[ab-]{0,8}") {
+        prop_assert_eq!(
+            within_one_edit(a.as_bytes(), b.as_bytes()),
+            bounded_damerau_levenshtein(&a, &b, 1).is_some(),
+            "{:?} vs {:?}", a, b
+        );
+    }
+
+    #[test]
+    fn one_edit_check_equals_the_distance_on_edited_district_names(
+        pick in any::<usize>(),
+        other in any::<usize>(),
+        kind in 0usize..4,
+        at in any::<usize>(),
+        c in "[a-z-]",
+    ) {
+        let name = district_name(pick);
+        let edited = one_edit(&name, kind, at, c.as_bytes()[0]);
+        // Against its source, and against a second name for near misses.
+        for target in [name, district_name(other)] {
+            prop_assert_eq!(
+                within_one_edit(edited.as_bytes(), target.as_bytes()),
+                bounded_damerau_levenshtein(&edited, &target, 1).is_some(),
+                "{:?} vs {:?}", edited, target
+            );
+        }
     }
 }

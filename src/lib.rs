@@ -7,7 +7,8 @@
 #![warn(missing_docs)]
 
 pub mod detection_bench;
-pub mod store_pipeline;
+#[cfg(test)]
+mod store_pipeline;
 
 /// One-stop imports for the common workflow: generate → refine → group →
 /// weight → estimate.

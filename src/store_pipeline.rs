@@ -1,47 +1,15 @@
-//! Glue between the tweet store and the analysis pipeline.
+//! Tests of store-fed pipeline runs.
 //!
-//! `stir-core` deliberately takes plain rows so it works on any data
-//! source; `stir-tweetstore` deliberately knows nothing about the
-//! analysis. The connection now lives in the pipeline itself:
-//! [`RefinementPipeline::execute`] accepts a `&TweetStore` directly (the
-//! store-block morsel source and scan-metrics fill moved into
-//! `stir_core::pipeline`). This module keeps the store-specific
-//! composition that has no core equivalent — pre-compacting to GPS
-//! records before the run (what a production deployment would keep hot).
+//! [`stir_core::RefinementPipeline::execute`] accepts a `&TweetStore`
+//! directly. These tests pin a store-fed run to the row-fed one, the
+//! fused engine to the staged one on a store, and the scan metrics a
+//! store run reports. They live in the facade crate because their
+//! fixtures come from `stir-twitter-sim`.
 
-use stir_core::{AnalysisResult, CollectionFunnel, ProfileRow, RefinementPipeline};
-use stir_tweetstore::{gps_only, CompactionReport, TweetStore};
-
-/// Compacts the store to GPS-only records, then runs the pipeline on the
-/// compacted store. The funnel's tweet totals are patched to reflect the
-/// *original* corpus (the compaction did stage 2 of the funnel early), and
-/// the compaction report is returned alongside.
-pub fn compact_then_run<PI>(
-    pipeline: &RefinementPipeline<'_>,
-    profiles: PI,
-    store: &TweetStore,
-) -> (AnalysisResult, CompactionReport)
-where
-    PI: IntoIterator<Item = ProfileRow>,
-{
-    let (gps_store, report) = gps_only(store);
-    let mut result = pipeline.execute(profiles, &gps_store);
-    // Restore the pre-compaction totals so the funnel reads like a
-    // single-pass run over the full corpus.
-    let funnel = CollectionFunnel {
-        tweets_total: report.scanned,
-        ..result.funnel
-    };
-    result.funnel = funnel;
-    (result, report)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use stir_core::{PipelineBuilder, TweetRow};
+    use stir_core::{PipelineBuilder, ProfileRow, RefinementPipeline, TweetRow};
     use stir_geokr::Gazetteer;
-    use stir_tweetstore::TweetRecord;
+    use stir_tweetstore::{TweetRecord, TweetStore};
     use stir_twitter_sim::datasets::{Dataset, DatasetSpec};
 
     fn fixtures() -> (&'static Gazetteer, Dataset, TweetStore) {
@@ -157,22 +125,5 @@ mod tests {
         assert_eq!(scan.headers_decoded, store.stats().records);
         // Staged store runs leave the exec slot empty.
         assert!(b.metrics.exec.is_none());
-    }
-
-    #[test]
-    fn compacted_run_agrees_and_reports_savings() {
-        let (g, dataset, store) = fixtures();
-        let pipeline = RefinementPipeline::with_defaults(g);
-        let full = pipeline.execute(profile_rows(&dataset), &store);
-        let (compacted, report) = compact_then_run(&pipeline, profile_rows(&dataset), &store);
-        // Same cohort, same groups, same tweet totals after patching.
-        assert_eq!(full.users.len(), compacted.users.len());
-        assert_eq!(full.funnel.tweets_total, compacted.funnel.tweets_total);
-        assert_eq!(
-            full.funnel.tweets_with_gps,
-            compacted.funnel.tweets_with_gps
-        );
-        assert_eq!(full.funnel.users_final, compacted.funnel.users_final);
-        assert!(report.space_saved() > 0.5, "saved {}", report.space_saved());
     }
 }
