@@ -60,8 +60,8 @@ fn bench_fig6_fig7(c: &mut Criterion) {
 
 /// Thread sweep over the pipeline: the fused engine at a ceiling of
 /// 1/2/4/8 workers on the same dataset. With one core the curve is flat
-/// (the ceiling caps at the machine); on real hardware it tracks the
-/// contention benchmark's scaling.
+/// (the ceiling caps at the machine); on real hardware it shows how the
+/// fused engine scales.
 fn bench_thread_sweep(c: &mut Criterion) {
     let gazetteer = Gazetteer::load();
     let dataset = korean_dataset(&gazetteer, 2_000, 2012);

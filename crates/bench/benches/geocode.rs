@@ -1,7 +1,8 @@
 //! Geocoder benchmarks: the per-GPS-tweet cost the paper paid 2xx,xxx
-//! times — direct, cached, and through the Yahoo XML round trip.
+//! times — through the district atlas, by the polygon walk alone, and
+//! through the Yahoo XML round trip.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use stir_bench::district_points;
 use stir_geokr::yahoo::YahooPlaceFinder;
@@ -12,28 +13,23 @@ fn bench_reverse(c: &mut Criterion) {
     let points = district_points(&gazetteer, 10_000, 1);
     let mut group = c.benchmark_group("geocode/reverse");
     group.throughput(Throughput::Elements(points.len() as u64));
-    group.bench_function("uncached", |b| {
+    // The geocoder as every engine calls it: the district atlas answers
+    // most points by array index, the rest take the polygon walk.
+    group.bench_function("atlas", |b| {
+        let geo = ReverseGeocoder::builder(&gazetteer).build_reverse();
         b.iter(|| {
-            // A fresh geocoder per iteration: every lookup misses.
-            let geo = ReverseGeocoder::builder(&gazetteer)
-                .capacity(1)
-                .build_reverse();
             points
                 .iter()
                 .filter_map(|&p| geo.resolve(black_box(p)))
                 .count()
         })
     });
-    group.bench_function("cached", |b| {
-        let geo = ReverseGeocoder::builder(&gazetteer).build_reverse();
-        // Warm the quantized cells once.
-        for &p in &points {
-            geo.resolve(p);
-        }
+    // The polygon walk alone, the reference the atlas is proved against.
+    group.bench_function("walk", |b| {
         b.iter(|| {
             points
                 .iter()
-                .filter_map(|&p| geo.resolve(black_box(p)))
+                .filter_map(|&p| gazetteer.resolve_point_walk(black_box(p)))
                 .count()
         })
     });
@@ -49,64 +45,10 @@ fn bench_reverse(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lock-contention benchmark: N threads hammering ONE warmed geocoder.
-/// `single_shard` reproduces the seed's layout (one mutex around the whole
-/// cache — `builder(..).shards(1)`); `sharded` is the default power-of-two
-/// shard array. On multi-core hardware the single mutex serialises the hit
-/// path and throughput flat-lines as threads grow, while the sharded cache
-/// scales; on a single core the two converge (no parallel hit paths exist
-/// to collide).
-fn bench_contention(c: &mut Criterion) {
-    let gazetteer = Gazetteer::load();
-    let points = district_points(&gazetteer, 4_000, 2);
-    let mut group = c.benchmark_group("geocode/contention");
-    for &threads in &[1usize, 2, 4, 8, 16] {
-        group.throughput(Throughput::Elements((points.len() * threads) as u64));
-        for (label, shards) in [("single_shard", 1usize), ("sharded", 64)] {
-            group.bench_function(BenchmarkId::new(label, threads), |b| {
-                let geo = ReverseGeocoder::builder(&gazetteer)
-                    .capacity(1 << 20)
-                    .shards(shards)
-                    .build_reverse();
-                // Warm every quantized cell: the benchmark measures the
-                // hit path, where the seed design took the global lock.
-                for &p in &points {
-                    geo.resolve(p);
-                }
-                b.iter(|| {
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..threads)
-                            .map(|t| {
-                                let geo = &geo;
-                                let points = &points;
-                                s.spawn(move || {
-                                    // Offset walks so threads collide on
-                                    // shards in every order.
-                                    (0..points.len())
-                                        .filter_map(|i| {
-                                            let p = points[(i + t * 101) % points.len()];
-                                            geo.resolve(black_box(p))
-                                        })
-                                        .count()
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap())
-                            .sum::<usize>()
-                    })
-                })
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Overhead of the service layer itself: the same warmed lookups through the
 /// bare gazetteer backend, the resilient decorator over a quiet endpoint, and
-/// the resilient decorator riding out a 10% drop schedule. The first two
-/// should be indistinguishable from `geocode/reverse/cached` modulo the trait
+/// the resilient decorator riding out a 10% drop schedule. The first should
+/// be indistinguishable from `geocode/reverse/atlas` modulo the trait
 /// dispatch; the faulted run shows what retries + fallbacks cost.
 fn bench_resilience(c: &mut Criterion) {
     let gazetteer = Gazetteer::load();
@@ -172,6 +114,6 @@ fn bench_forward(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_reverse, bench_contention, bench_resilience, bench_forward
+    targets = bench_reverse, bench_resilience, bench_forward
 }
 criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! Every [`crate::RefinementPipeline::execute`] fills a [`PipelineMetrics`] and
 //! returns it on [`crate::AnalysisResult`], so callers can assert on and
 //! report the pipeline's hot path — at paper scale the geocode stage
-//! dominates, and this is where its throughput, cache behaviour, and
+//! dominates, and this is where its throughput, atlas share, and
 //! scheduler balance become visible. `repro funnel --verbose` prints the
 //! same numbers through [`PipelineMetrics::render`].
 
@@ -27,8 +27,8 @@ pub struct StageTimings {
 /// How the geocode stage executed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum GeocodeMode {
-    /// In-process sharded-cache reverse geocoder on one thread: the staged
-    /// reference, or a fused pass that ran on one worker.
+    /// In-process gazetteer geocoder on one thread: the staged reference,
+    /// or a fused pass that ran on one worker.
     #[default]
     DirectSerial,
     /// In-process geocoder fanned out over the fused engine's workers.
@@ -53,7 +53,7 @@ impl GeocodeMode {
     }
 }
 
-/// Geocode-stage detail: throughput, cache behaviour, scheduler balance.
+/// Geocode-stage detail: throughput, atlas share, scheduler balance.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GeocodeMetrics {
     /// Execution mode actually taken.
@@ -65,7 +65,8 @@ pub struct GeocodeMetrics {
     pub wall: Duration,
     /// Geocoder lookups issued — equals `fixes` on the direct path.
     pub lookups: u64,
-    /// Lookups answered from the quantized cache.
+    /// Lookups answered without the gazetteer's polygon walk: by the
+    /// district atlas (plus, on the resilient backend, its stale cache).
     pub cache_hits: u64,
     /// Worker threads used (1 on the serial paths).
     pub threads: usize,
@@ -92,7 +93,9 @@ impl GeocodeMetrics {
         }
     }
 
-    /// Cache hit ratio in `[0, 1]`; zero when no lookups happened.
+    /// Share of lookups answered without the polygon walk
+    /// ([`GeocodeMetrics::cache_hits`] over lookups), in `[0, 1]`; zero
+    /// when no lookups happened.
     pub fn cache_hit_ratio(&self) -> f64 {
         if self.lookups == 0 {
             0.0

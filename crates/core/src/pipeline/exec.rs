@@ -13,15 +13,17 @@
 //!
 //! **Columnar morsels.** A morsel is a [`ColumnBatch`] — parallel
 //! primitive columns (`users`, `timestamps`, e6-grid `lats_e6`/`lons_e6`,
-//! and the exact `lats`/`lons`) instead of a `Vec` of row structs. The
+//! and the `f64` `lats`/`lons`) instead of a `Vec` of row structs. The
 //! GPS-presence check is one `i32` compare against [`NO_GPS_E6`] and the
 //! coverage prescreen is four more, so the filter runs as a tight loop
-//! over primitive slices with no `Option` discriminant chasing. Surviving
-//! coordinates geocode from the *exact* `f64` columns through
-//! [`Geocoder::resolve_id_cols`] — the quantized e6 grid only ever
-//! *rejects*, with bounds widened outward (floor/ceil), so the answer is
-//! bit-identical to resolving every point: the gazetteer itself rejects
-//! anything outside its coverage box before touching the index.
+//! over primitive slices with no `Option` discriminant chasing. The e6
+//! columns hold each fix on the store's µ° grid, and the `f64` columns the
+//! point those integers decode to — the fix as the store keeps it
+//! ([`stir_tweetstore::canonical_point`]) — which is what survivors
+//! geocode through [`Geocoder::resolve_id_cols`]. The prescreen only ever *rejects*, with
+//! bounds widened outward (floor/ceil), so the answer is bit-identical to
+//! resolving every point: the gazetteer itself rejects anything outside
+//! its coverage box before touching the index.
 //!
 //! **Adaptive parallelism.** `threads` is a *ceiling*, not a command: the
 //! scheduler caps it at `std::thread::available_parallelism()` up front
@@ -68,6 +70,7 @@ use std::time::{Duration, Instant};
 use stir_geoindex::Point;
 use stir_geokr::service::{BackendChoice, Geocoder};
 use stir_geokr::{DistrictId as GazDistrictId, GeocodeError};
+use stir_tweetstore::quantize_e6;
 
 use crate::funnel::CollectionFunnel;
 use crate::grouping::{group_partition, GroupedUser, TieBreak};
@@ -85,33 +88,43 @@ pub const FUSED_PARALLEL_THRESHOLD: usize = 1024;
 const WARMUP_MORSELS: usize = 2;
 
 /// The `lats_e6`/`lons_e6` sentinel for a row without a GPS fix.
-/// `quant_e6` clamps real coordinates to `i32::MIN + 1`, so no finite
+/// Row intake clamps real coordinates to `i32::MIN + 1`, so no finite
 /// (or infinite) coordinate can alias it.
 pub const NO_GPS_E6: i32 = i32::MIN;
 
-/// Quantizes a coordinate onto the e6 micro-degree grid, saturating so
-/// that no input — including `-inf` — can collide with [`NO_GPS_E6`].
-/// `NaN` maps to 0, which the Korea coverage prescreen rejects, matching
-/// the gazetteer (whose bbox test also rejects `NaN`).
-///
-/// This runs per row on the intake hot path, so it is a truncating `as`
-/// cast (one instruction, saturating, NaN → 0) rather than `round` (a
-/// libm call). Truncation sits within 1 µ° of the rounded value;
-/// [`CoverE6`] widens its bounds by 2 µ° to absorb that slack plus the
-/// `x * 1e6` product's own rounding.
+/// A fix on the store's micro-degree grid: [`quantize_e6`], the codec's
+/// own rounding, saturated so that no input — including `-inf` — can
+/// collide with [`NO_GPS_E6`]. `NaN` maps to 0, which the Korea coverage
+/// prescreen rejects, matching the gazetteer (whose bbox test also
+/// rejects `NaN`).
 #[inline]
-pub(crate) fn quant_e6(x: f64) -> i32 {
-    ((x * 1e6) as i32).max(i32::MIN + 1)
+pub(crate) fn fix_e6(p: Point) -> (i32, i32) {
+    let (lat, lon) = quantize_e6(p);
+    (lat.max(NO_GPS_E6 + 1), lon.max(NO_GPS_E6 + 1))
+}
+
+/// The degrees an e6 column value decodes to — `e6 / 1e6`, lossless for
+/// any µ° integer and the same division the codec decodes with — or
+/// `0.0` on a GPS-less slot.
+#[inline]
+fn degrees(e6: i32) -> f64 {
+    if e6 == NO_GPS_E6 {
+        0.0
+    } else {
+        e6 as f64 / 1e6
+    }
 }
 
 /// One columnar morsel: parallel primitive columns, one slot per row.
 ///
-/// `lats_e6`/`lons_e6` carry the coordinates rounded to micro-degrees
-/// ([`NO_GPS_E6`] marks a GPS-less row) and drive the branch-light filter
-/// loops; `lats`/`lons` carry the *exact* `f64` coordinates for rows that
-/// reach the geocoder (GPS-less slots hold `0.0` to keep the columns
-/// dense and index-aligned). `timestamps` rides along for sources that
-/// have one (the tweet store); row-fed sources fill it with zeros.
+/// `lats_e6`/`lons_e6` carry the coordinates on the store's micro-degree
+/// grid ([`NO_GPS_E6`] marks a GPS-less row) and drive the branch-light
+/// filter loops; `lats`/`lons` carry the `f64` points those integers
+/// decode to, which the geocoder resolves: the fix as the store keeps it,
+/// [`stir_tweetstore::canonical_point`] (GPS-less slots hold `0.0` to
+/// keep the columns dense and index-aligned). `timestamps` rides along
+/// for sources that have one (the tweet store); row-fed sources fill it
+/// with zeros.
 #[derive(Debug, Default)]
 pub struct ColumnBatch {
     /// Author ids.
@@ -122,9 +135,9 @@ pub struct ColumnBatch {
     pub lats_e6: Vec<i32>,
     /// Longitude in micro-degrees, or [`NO_GPS_E6`].
     pub lons_e6: Vec<i32>,
-    /// Exact latitude (0.0 on GPS-less slots).
+    /// Stored latitude (0.0 on GPS-less slots).
     pub lats: Vec<f64>,
-    /// Exact longitude (0.0 on GPS-less slots).
+    /// Stored longitude (0.0 on GPS-less slots).
     pub lons: Vec<f64>,
 }
 
@@ -166,25 +179,18 @@ impl ColumnBatch {
         self.users.is_empty()
     }
 
-    /// Appends one row, quantizing the fix onto the e6 grid.
+    /// Appends one row. The fix is rounded once onto the store's µ° grid
+    /// ([`quantize_e6`], the codec's rounding), so a raw fix lands exactly
+    /// as the same fix read back from a store.
     #[inline]
     pub fn push(&mut self, user: u64, timestamp: i64, gps: Option<Point>) {
         self.users.push(user);
         self.timestamps.push(timestamp);
-        match gps {
-            Some(p) => {
-                self.lats_e6.push(quant_e6(p.lat));
-                self.lons_e6.push(quant_e6(p.lon));
-                self.lats.push(p.lat);
-                self.lons.push(p.lon);
-            }
-            None => {
-                self.lats_e6.push(NO_GPS_E6);
-                self.lons_e6.push(NO_GPS_E6);
-                self.lats.push(0.0);
-                self.lons.push(0.0);
-            }
-        }
+        let (lat_e6, lon_e6) = gps.map_or((NO_GPS_E6, NO_GPS_E6), fix_e6);
+        self.lats_e6.push(lat_e6);
+        self.lons_e6.push(lon_e6);
+        self.lats.push(degrees(lat_e6));
+        self.lons.push(degrees(lon_e6));
     }
 
     /// Appends one [`TweetRow`] (no timestamp — filled with 0).
@@ -194,16 +200,9 @@ impl ColumnBatch {
     }
 
     /// Bulk-appends one block of tweet-store column slices — the
-    /// zero-decode path from a columnar (`STIRSEG2`) segment.
-    ///
-    /// The store's e6 integers use round-to-nearest while this batch's
-    /// grid uses `quant_e6`'s truncation, so each coordinate is mapped
-    /// through the exact `f64` it decodes to (`e6 / 1e6` — lossless for
-    /// any µ° integer) and re-quantized. That makes every column land
-    /// byte-identically to [`ColumnBatch::push`] fed by the row-decode
-    /// path, which is what keeps v1 and v2 pipeline outputs equal.
-    /// `i32::MIN` marks a GPS-less row in the store columns, matching
-    /// [`NO_GPS_E6`] here.
+    /// zero-decode path from a columnar (`STIRSEG2`) segment. The store's
+    /// e6 integers are this batch's grid already (`i32::MIN` marks a
+    /// GPS-less row there too), so they are copied as they are.
     pub fn push_store_columns(
         &mut self,
         users: &[u64],
@@ -218,21 +217,10 @@ impl ColumnBatch {
         );
         self.users.extend_from_slice(users);
         self.timestamps.extend(timestamps.iter().map(|&t| t as i64));
-        for i in 0..users.len() {
-            if lats_e6[i] == NO_GPS_E6 {
-                self.lats_e6.push(NO_GPS_E6);
-                self.lons_e6.push(NO_GPS_E6);
-                self.lats.push(0.0);
-                self.lons.push(0.0);
-            } else {
-                let lat = lats_e6[i] as f64 / 1e6;
-                let lon = lons_e6[i] as f64 / 1e6;
-                self.lats_e6.push(quant_e6(lat));
-                self.lons_e6.push(quant_e6(lon));
-                self.lats.push(lat);
-                self.lons.push(lon);
-            }
-        }
+        self.lats_e6.extend_from_slice(lats_e6);
+        self.lons_e6.extend_from_slice(lons_e6);
+        self.lats.extend(lats_e6.iter().map(|&e6| degrees(e6)));
+        self.lons.extend(lons_e6.iter().map(|&e6| degrees(e6)));
     }
 
     /// Total allocated capacity across all columns, in bytes — the
@@ -249,11 +237,10 @@ impl ColumnBatch {
 
 /// The gazetteer's coverage box on the e6 grid, widened outward
 /// (floor − 2 / ceil + 2) so a rejection on quantized coordinates is
-/// always a true rejection on the exact ones: [`quant_e6`] truncates, so
-/// `quant_e6(x)` sits within 1 µ° of `x·1e6` (plus sub-µ° product
-/// rounding), and a quantized value two whole steps below the floor of
-/// the bound leaves no room for that slack — `quant_e6(x) < min_lat`
-/// implies `x < bbox.min_lat`.
+/// always a true rejection on the point they decode to: [`fix_e6`] sits
+/// within ½ µ° of `x·1e6` (plus sub-µ° product rounding), and a quantized
+/// value two whole steps below the floor of the bound leaves no room for
+/// that slack — `fix_e6(p).0 < min_lat` implies `p.lat < bbox.min_lat`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CoverE6 {
     min_lat: i32,
@@ -1074,7 +1061,7 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.users, vec![7, 8, 9]);
         assert_eq!(b.timestamps, vec![1_300_000_000, 0, 0]);
-        // The e6 columns truncate (within 1 µ° of the exact product);
+        // The e6 columns round (within ½ µ° of the exact product);
         // GPS-less slots hold the sentinel.
         for (i, (lat, lon)) in [(37.517f64, 126.866f64), (0.0, 0.0), (-33.8688, 151.2093)]
             .iter()
@@ -1084,8 +1071,8 @@ mod tests {
                 assert_eq!(b.lats_e6[i], NO_GPS_E6);
                 assert_eq!(b.lons_e6[i], NO_GPS_E6);
             } else {
-                assert!((b.lats_e6[i] as f64 - lat * 1e6).abs() < 1.0);
-                assert!((b.lons_e6[i] as f64 - lon * 1e6).abs() < 1.0);
+                assert!((b.lats_e6[i] as f64 - lat * 1e6).abs() <= 0.5);
+                assert!((b.lons_e6[i] as f64 - lon * 1e6).abs() <= 0.5);
             }
         }
         // The f64 columns stay exact and dense (GPS-less slots hold 0.0).
@@ -1097,24 +1084,50 @@ mod tests {
     }
 
     #[test]
+    fn column_batch_keeps_the_point_the_store_keeps() {
+        // A raw fix with sub-µ° digits lands in the columns exactly as the
+        // same fix decoded from the store does.
+        let raw = Point::new(37.517_000_4, 126.865_999_6);
+        let mut from_rows = ColumnBatch::new();
+        from_rows.push(7, 0, Some(raw));
+        let mut from_store = ColumnBatch::new();
+        from_store.push_store_columns(&[7], &[0], &[37_517_000], &[126_866_000]);
+        assert_eq!(from_rows.lats, vec![37.517]);
+        assert_eq!(from_rows.lons, vec![126.866]);
+        assert_eq!(from_rows.lats, from_store.lats);
+        assert_eq!(from_rows.lons, from_store.lons);
+        assert_eq!(from_rows.lats_e6, from_store.lats_e6);
+        assert_eq!(from_rows.lons_e6, from_store.lons_e6);
+    }
+
+    #[test]
     fn quantization_saturates_away_from_the_sentinel() {
         // No real coordinate — however pathological — may alias the
         // GPS-less sentinel.
-        assert_eq!(quant_e6(f64::NEG_INFINITY), i32::MIN + 1);
-        assert_ne!(quant_e6(f64::NEG_INFINITY), NO_GPS_E6);
-        assert_eq!(quant_e6(f64::INFINITY), i32::MAX);
-        assert_eq!(quant_e6(1e30), i32::MAX);
-        assert_eq!(quant_e6(-1e30), i32::MIN + 1);
-        assert_eq!(quant_e6(f64::NAN), 0);
-        // Truncation lands within 1 µ° of the exact product.
+        // (A struct literal: `Point::new` debug-asserts finite input.)
+        let e6 = |lat, lon| fix_e6(Point { lat, lon });
+        assert_eq!(e6(f64::NEG_INFINITY, 0.0), (i32::MIN + 1, 0));
+        assert_ne!(e6(f64::NEG_INFINITY, 0.0).0, NO_GPS_E6);
+        assert_eq!(e6(0.0, f64::NEG_INFINITY), (0, i32::MIN + 1));
+        assert_eq!(e6(f64::INFINITY, 1e30), (i32::MAX, i32::MAX));
+        assert_eq!(e6(-1e30, -1e30), (i32::MIN + 1, i32::MIN + 1));
+        assert_eq!(e6(f64::NAN, f64::NAN), (0, 0));
+        // Rounding lands within ½ µ° of the exact product, on the codec's
+        // own grid.
         for x in [37.517, -33.8688, 126.866, 0.0000004, -0.0000006] {
-            assert!((quant_e6(x) as f64 - x * 1e6).abs() < 1.0, "{x}");
+            let (lat, lon) = e6(x, -x);
+            assert!((lat as f64 - x * 1e6).abs() <= 0.5, "{x}");
+            assert_eq!((lat, lon), quantize_e6(Point { lat: x, lon: -x }), "{x}");
         }
     }
 
     #[test]
     fn coverage_prescreen_never_rejects_a_resolvable_point() {
         let cover = CoverE6::korea();
+        let rejects = |lat, lon| {
+            let (lat_e6, lon_e6) = fix_e6(Point { lat, lon });
+            cover.rejects(lat_e6, lon_e6)
+        };
         // Points inside (and exactly on the edge of) the Korea box pass.
         for (lat, lon) in [
             (37.517, 126.866),
@@ -1122,10 +1135,7 @@ mod tests {
             (39.5, 132.0),
             (33.0, 126.5),
         ] {
-            assert!(
-                !cover.rejects(quant_e6(lat), quant_e6(lon)),
-                "({lat}, {lon}) wrongly prescreened"
-            );
+            assert!(!rejects(lat, lon), "({lat}, {lon}) wrongly prescreened");
         }
         // Clearly-outside points are rejected without a lookup.
         for (lat, lon) in [
@@ -1135,10 +1145,7 @@ mod tests {
             (f64::NAN, f64::NAN),
             (f64::NEG_INFINITY, 126.9),
         ] {
-            assert!(
-                cover.rejects(quant_e6(lat), quant_e6(lon)),
-                "({lat}, {lon}) not prescreened"
-            );
+            assert!(rejects(lat, lon), "({lat}, {lon}) not prescreened");
         }
     }
 

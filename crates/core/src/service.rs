@@ -42,7 +42,9 @@ use std::path::{Path, PathBuf};
 use stir_geoindex::Point;
 use stir_geokr::service::Geocoder;
 use stir_tweetstore::persist::PersistError;
-use stir_tweetstore::{append_snapshot, latest_snapshot, SegmentRef, TweetRecord, TweetStore, Wal};
+use stir_tweetstore::{
+    append_snapshot, canonical_point, latest_snapshot, SegmentRef, TweetRecord, TweetStore, Wal,
+};
 
 use crate::funnel::CollectionFunnel;
 use crate::grouping::{materialize_user, merged_cmp, GroupedUser, MergedId, TieBreak};
@@ -504,7 +506,9 @@ impl<'g> AnalysisSession<'g> {
     }
 
     /// Ingests one tweet, advancing funnel and grouped state exactly as
-    /// the batch pipeline would have counted it.
+    /// the batch pipeline would have counted it. The fix resolves as the
+    /// store keeps it ([`canonical_point`]), so a live fix and its WAL
+    /// replay land in the same district.
     pub fn ingest(&mut self, user: u64, timestamp: u64, gps: Option<Point>) {
         self.ingested += 1;
         self.funnel.tweets_total += 1;
@@ -513,7 +517,7 @@ impl<'g> AnalysisSession<'g> {
         let Some(&profile) = self.kept.get(&user) else {
             return;
         };
-        let Some(gaz_id) = resolve_one(self.backend.as_ref(), p) else {
+        let Some(gaz_id) = resolve_one(self.backend.as_ref(), canonical_point(p)) else {
             self.funnel.tweets_gps_unresolvable += 1;
             return;
         };

@@ -27,7 +27,7 @@ use stir_tweetstore::{GroupSketch, SegmentRef, SketchResolver, TweetStore, ZoneM
 
 use crate::grouping::{materialize_user, merged_cmp, GroupedUser, MergedId, TieBreak};
 use crate::intern::{DistrictId, DistrictInterner};
-use crate::pipeline::exec::{quant_e6, CoverE6};
+use crate::pipeline::exec::{fix_e6, CoverE6};
 use crate::pipeline::TimeWindow;
 
 /// Seconds per sketch day bucket (mirrors the store layer's constant).
@@ -74,6 +74,9 @@ enum GazRef<'g> {
 /// quantized onto the e6 grid and prescreened against the widened Korea
 /// cover box (a reject counts as unresolvable, exactly as the fused
 /// engine counts it), then resolved through [`Gazetteer::resolve_point`].
+/// The sketcher sees stored points, and every scan engine resolves the
+/// same stored point ([`stir_tweetstore::canonical_point`]) through the
+/// same order-free function, so a sketched answer equals a scanned one.
 pub struct GazetteerSketcher<'g> {
     gaz: GazRef<'g>,
     cover: CoverE6,
@@ -129,12 +132,14 @@ impl SketchResolver for GazetteerSketcher<'_> {
     }
 
     fn resolve(&self, lat: f64, lon: f64) -> Option<u32> {
-        if self.cover.rejects(quant_e6(lat), quant_e6(lon)) {
+        // A struct literal: `Point::new` debug-asserts finite coordinates,
+        // and rejecting the non-finite ones is the prescreen's job.
+        let p = Point { lat, lon };
+        let (lat_e6, lon_e6) = fix_e6(p);
+        if self.cover.rejects(lat_e6, lon_e6) {
             return None;
         }
-        self.gazetteer()
-            .resolve_point(Point::new(lat, lon))
-            .map(|d| d.0 as u32)
+        self.gazetteer().resolve_point(p).map(|d| d.0 as u32)
     }
 }
 

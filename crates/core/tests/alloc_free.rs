@@ -105,7 +105,7 @@ fn warm_session_ingest_and_rank_queries_are_allocation_free() {
     let _serial = serial();
     use stir_core::{AnalysisSession, PipelineBuilder, ProfileRow};
     use stir_geoindex::Point;
-    use stir_geokr::Gazetteer;
+    use stir_geokr::{Gazetteer, ReverseGeocoder};
 
     const DAY: u64 = 86_400;
     let gazetteer = Gazetteer::load();
@@ -121,9 +121,21 @@ fn warm_session_ingest_and_rank_queries_are_allocation_free() {
         Point::new(35.106, 129.032), // Busan Jung-gu
         Point::new(37.345, 126.968), // Uiwang-si
     ];
+    // Every spot sits in a pure cell of the district atlas, so ingest
+    // resolves it by array index. A fix the atlas leaves to the polygon
+    // walk still allocates (`RTree::nearest_k` builds a `Vec` and a heap
+    // per lookup), so the zero below holds for atlas-answered fixes only.
+    let probe = ReverseGeocoder::builder(&gazetteer).build_reverse();
+    for &p in &spots {
+        probe.resolve(p);
+    }
+    let traffic = probe.stats();
+    assert_eq!(
+        traffic.cache_hits, traffic.lookups,
+        "every spot must be answered by the district atlas"
+    );
     // Warm-up: every user tweets from every district on every day, so each
-    // merged list, day ring and bucket — and the geocoder cache — has
-    // reached its final size.
+    // merged list, day ring and bucket has reached its final size.
     for user in 0..16u64 {
         for day in 0..3 {
             for &p in &spots {

@@ -1,7 +1,9 @@
-//! The in-memory gazetteer: district table, name indexes, centroid R-tree
-//! and synthetic footprints.
+//! The in-memory gazetteer: district table, name indexes, centroid R-tree,
+//! synthetic footprints and the district atlas that answers most points by
+//! array index.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use stir_geoindex::{BBox, Point, Polygon, RTree};
 
@@ -17,10 +19,268 @@ pub const KOREA_BBOX: BBox = BBox {
     max_lon: 132.0,
 };
 
+/// Atlas cells per degree on both axes: a cell is 0.005° on a side.
+const ATLAS_CELLS_PER_DEG: f64 = 200.0;
+/// Atlas rows: 7° of latitude in [`KOREA_BBOX`].
+const ATLAS_ROWS: usize = 1_400;
+/// Atlas columns: 8° of longitude in [`KOREA_BBOX`].
+const ATLAS_COLS: usize = 1_600;
+/// How far inside its district's footprint every corner of a pure cell
+/// lies, in degrees.
+const ATLAS_EPS: f64 = 1e-7;
+/// How much nearer its district's centroid every corner of a pure cell
+/// is than any other centroid, in squared degrees of
+/// [`Point::approx_dist2`].
+const ATLAS_DELTA: f64 = 1e-8;
+/// A footprint at least this wide in longitude gets no pure cells: the
+/// soundness argument below bounds curvature by this span.
+const ATLAS_MAX_LON_SPAN: f64 = 1.0;
+/// The cell value for "not pure: ask the walk".
+const IMPURE: u16 = u16::MAX;
+
+/// The process-wide atlas. Every [`Gazetteer`] is loaded from the same
+/// [`data::DISTRICTS`] table, so the first load builds it and every later
+/// load shares it.
+static ATLAS: OnceLock<Atlas> = OnceLock::new();
+
+/// The district atlas: one `u16` per 0.005° cell over [`KOREA_BBOX`]
+/// (1,400 × 1,600 cells, 4.5 MB), holding district d where the cell is
+/// *pure* for d and [`IMPURE`] everywhere else.
+///
+/// **Pure-cell rule.** A cell is pure for district d when
+/// 1. d's footprint is convex (every turn of its ring has the same sign)
+///    and spans less than [`ATLAS_MAX_LON_SPAN`] of longitude;
+/// 2. each of the cell's four corners lies inside that footprint with a
+///    margin: its signed distance to every edge exceeds [`ATLAS_EPS`];
+/// 3. at each corner q, `q.approx_dist2(c_d) + ATLAS_DELTA <
+///    q.approx_dist2(c)` for every other centroid c.
+///
+/// **Why it is sound.** [`Gazetteer::resolve_point_walk`] ranks centroids
+/// with `RTree::nearest_k`, which orders them by `query.approx_dist2`.
+/// Take f(q) = `q.approx_dist2(c) − q.approx_dist2(c_d)`. At a fixed
+/// latitude f is linear in longitude (the squared longitude terms cancel),
+/// so over the cell f is smallest on one of its two vertical edges. Along
+/// such an edge f is a linear term plus G·cos²(lat), with G constant. If
+/// G ≥ 0 that is concave on Korean latitudes and stays above the chord
+/// between the corners. If G < 0, the edge is nearer c than c_d in
+/// longitude, so |G| is below the squared longitude span of d's footprint,
+/// under 1; the curve then dips below the chord by at most
+/// (0.005²/8)·2(π/180)²·|G| < 2·10⁻⁹ deg². Rule 3 gives a chord above
+/// [`ATLAS_DELTA`] = 10⁻⁸, so f > 0 on the whole cell: d is strictly the
+/// first candidate of the walk everywhere in it. Rule 2 and convexity put
+/// the whole cell inside d's footprint, so the walk's containment test
+/// accepts that first candidate and returns d. Both margins also absorb the
+/// f64 rounding of corner coordinates and of a point's cell index, which
+/// is below 10⁻¹³°.
+///
+/// The build skips centroids that cannot beat d anywhere inside d's
+/// footprint. For a query q there, `approx_dist2` is a squared norm with
+/// longitude weight cos(q.lat), so by the triangle inequality c is farther
+/// than c_d whenever ‖c − c_d‖ exceeds twice the footprint's reach from
+/// c_d. The weight is bounded by the footprint's latitude range in the
+/// direction that makes the skip conservative; a test pins the filtered
+/// build equal to the one that checks every centroid.
+struct Atlas {
+    cells: Box<[u16]>,
+}
+
+impl Atlas {
+    /// The process-wide atlas, built from these districts on first use.
+    fn shared(centroids: &[Point], footprints: &[Polygon]) -> &'static Atlas {
+        ATLAS.get_or_init(|| Atlas::build(centroids, footprints, true))
+    }
+
+    /// Proves every cell of every footprint; `skip_far` enables the
+    /// triangle-inequality filter on competing centroids.
+    fn build(centroids: &[Point], footprints: &[Polygon], skip_far: bool) -> Atlas {
+        let mut cells = vec![IMPURE; ATLAS_ROWS * ATLAS_COLS].into_boxed_slice();
+        let mut corners = Vec::new();
+        for (d, footprint) in footprints.iter().enumerate() {
+            let Some(edges) = inward_edges(footprint) else {
+                continue;
+            };
+            let own = centroids[d];
+            let rivals = if skip_far {
+                rivals_within_reach(d, centroids, footprint)
+            } else {
+                let mut all = centroids.to_vec();
+                all.remove(d);
+                all
+            };
+            // Corner indices inside the footprint's bbox; a cell needs two
+            // corner rows and two corner columns.
+            let b = footprint.bbox();
+            let (r0, r1) = corner_span(b.min_lat, b.max_lat, KOREA_BBOX.min_lat, ATLAS_ROWS);
+            let (c0, c1) = corner_span(b.min_lon, b.max_lon, KOREA_BBOX.min_lon, ATLAS_COLS);
+            if r1 <= r0 || c1 <= c0 {
+                continue;
+            }
+            // Each corner is proved once and shared by its four cells.
+            let width = c1 - c0 + 1;
+            corners.clear();
+            for r in r0..=r1 {
+                let lat = corner(KOREA_BBOX.min_lat, r);
+                let coslat = lat.to_radians().cos();
+                for c in c0..=c1 {
+                    let q = Point::new(lat, corner(KOREA_BBOX.min_lon, c));
+                    corners.push(
+                        edges.iter().all(|e| e.depth(q) > ATLAS_EPS)
+                            && nearest_by_margin(q, coslat, own, &rivals),
+                    );
+                }
+            }
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    let k = (r - r0) * width + (c - c0);
+                    if corners[k] && corners[k + 1] && corners[k + width] && corners[k + width + 1]
+                    {
+                        // Rule 3 is strict, so no cell is pure for two
+                        // districts.
+                        debug_assert_eq!(cells[r * ATLAS_COLS + c], IMPURE);
+                        cells[r * ATLAS_COLS + c] = d as u16;
+                    }
+                }
+            }
+        }
+        Atlas { cells }
+    }
+
+    /// The district of a point's cell when the cell is pure. `p` must lie
+    /// in [`KOREA_BBOX`]; its north and east edges fall outside the grid
+    /// and get `None`.
+    #[inline]
+    fn get(&self, p: Point) -> Option<DistrictId> {
+        let row = ((p.lat - KOREA_BBOX.min_lat) * ATLAS_CELLS_PER_DEG) as usize;
+        let col = ((p.lon - KOREA_BBOX.min_lon) * ATLAS_CELLS_PER_DEG) as usize;
+        if row >= ATLAS_ROWS || col >= ATLAS_COLS {
+            return None;
+        }
+        match self.cells[row * ATLAS_COLS + col] {
+            IMPURE => None,
+            d => Some(DistrictId(d)),
+        }
+    }
+}
+
+/// Coordinate of grid line `i` above `origin`.
+fn corner(origin: f64, i: usize) -> f64 {
+    origin + i as f64 / ATLAS_CELLS_PER_DEG
+}
+
+/// The grid lines `[first, last]` that fall within `[lo, hi]`, clamped to
+/// a grid of `cells` cells starting at `origin`.
+fn corner_span(lo: f64, hi: f64, origin: f64, cells: usize) -> (usize, usize) {
+    let first = ((lo - origin) * ATLAS_CELLS_PER_DEG).ceil().max(0.0) as usize;
+    let last = ((hi - origin) * ATLAS_CELLS_PER_DEG)
+        .floor()
+        .clamp(0.0, cells as f64) as usize;
+    (first, last)
+}
+
+/// One footprint edge as a half-plane: a point on it and the inward unit
+/// normal, in (lat, lon) degree coordinates.
+struct Edge {
+    from: Point,
+    normal_lat: f64,
+    normal_lon: f64,
+}
+
+impl Edge {
+    /// Signed distance of `q` from the edge's line, positive inside.
+    #[inline]
+    fn depth(&self, q: Point) -> f64 {
+        self.normal_lat * (q.lat - self.from.lat) + self.normal_lon * (q.lon - self.from.lon)
+    }
+}
+
+/// The footprint's edges as inward half-planes when the footprint is convex
+/// and narrower than [`ATLAS_MAX_LON_SPAN`]; `None` otherwise. A simple
+/// ring whose turns all share one sign is convex.
+fn inward_edges(footprint: &Polygon) -> Option<Vec<Edge>> {
+    let v = footprint.vertices();
+    let n = v.len();
+    let b = footprint.bbox();
+    if b.max_lon - b.min_lon >= ATLAS_MAX_LON_SPAN {
+        return None;
+    }
+    // z of (b − a) × (c − b) in the (lon, lat) plane.
+    let turn = |i: usize| {
+        let (a, b, c) = (v[i], v[(i + 1) % n], v[(i + 2) % n]);
+        (b.lon - a.lon) * (c.lat - b.lat) - (b.lat - a.lat) * (c.lon - b.lon)
+    };
+    let orientation = turn(0).signum();
+    if turn(0) == 0.0 || (0..n).any(|i| turn(i) * orientation <= 0.0) {
+        return None;
+    }
+    Some(
+        (0..n)
+            .map(|i| {
+                let (a, b) = (v[i], v[(i + 1) % n]);
+                let (dlat, dlon) = (b.lat - a.lat, b.lon - a.lon);
+                // The interior lies left of a counter-clockwise ring in the
+                // (lon, lat) plane, right of a clockwise one.
+                let scale = orientation / dlat.hypot(dlon);
+                Edge {
+                    from: a,
+                    normal_lat: dlon * scale,
+                    normal_lon: -dlat * scale,
+                }
+            })
+            .collect(),
+    )
+}
+
+/// Rule 3 at corner `q`: `own` beats every rival by [`ATLAS_DELTA`]. This
+/// is [`Point::approx_dist2`] with the corner row's cosine hoisted.
+#[inline]
+fn nearest_by_margin(q: Point, coslat: f64, own: Point, rivals: &[Point]) -> bool {
+    let dist2 = |c: Point| {
+        let dlat = q.lat - c.lat;
+        let dlon = (q.lon - c.lon) * coslat;
+        dlat * dlat + dlon * dlon
+    };
+    let bound = dist2(own) + ATLAS_DELTA;
+    rivals.iter().all(|&c| bound < dist2(c))
+}
+
+/// The centroids that may be nearer than district `d`'s own somewhere in
+/// its (convex) footprint, nearest first so rule 3 fails fast.
+///
+/// For q in the footprint, `q.approx_dist2` is the square of the norm
+/// ‖(Δlat, k·Δlon)‖ with k = cos(q.lat) between `k_lo` and `k_hi`. The
+/// footprint's reach from `own` under `k_hi` bounds ‖q − own‖ (a convex
+/// function peaks at a vertex); the separation under `k_lo` bounds
+/// ‖c − own‖ from below. A rival more than twice the reach (plus 10⁻³°)
+/// away is then farther from q than `own` by far more than
+/// [`ATLAS_DELTA`].
+fn rivals_within_reach(d: usize, centroids: &[Point], footprint: &Polygon) -> Vec<Point> {
+    let own = centroids[d];
+    let b = footprint.bbox();
+    let k_lo = b.max_lat.to_radians().cos();
+    let k_hi = b.min_lat.to_radians().cos();
+    let norm = |p: Point, k: f64| (p.lat - own.lat).hypot((p.lon - own.lon) * k);
+    let reach = footprint
+        .vertices()
+        .iter()
+        .map(|&v| norm(v, k_hi))
+        .fold(0.0, f64::max);
+    let mut rivals: Vec<(f64, Point)> = centroids
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != d)
+        .map(|(_, &c)| (norm(c, k_lo), c))
+        .filter(|&(sep, _)| sep <= 2.0 * reach + 1e-3)
+        .collect();
+    rivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    rivals.into_iter().map(|(_, c)| c).collect()
+}
+
 /// The gazetteer: every 2011-era district with lookup structures.
 ///
-/// Build once with [`Gazetteer::load`] (cheap — a few hundred rows) and share
-/// by reference; all methods take `&self`.
+/// Build once with [`Gazetteer::load`] (cheap — a few hundred rows; the
+/// first load in a process also builds the shared district atlas, about
+/// 20 ms in a release build) and share by reference; all methods take
+/// `&self`.
 ///
 /// ```
 /// use stir_geoindex::Point;
@@ -43,10 +303,13 @@ pub struct Gazetteer {
     /// cumulative population weights for weighted sampling
     cumulative_pop: Vec<f64>,
     total_pop: f64,
+    /// the process-wide district atlas
+    atlas: &'static Atlas,
 }
 
 impl Gazetteer {
-    /// Builds the gazetteer from the static 2011 table.
+    /// Builds the gazetteer from the static 2011 table, sharing the
+    /// process-wide district atlas (built by the first call).
     pub fn load() -> Self {
         let mut districts = Vec::with_capacity(data::DISTRICTS.len());
         let mut footprints = Vec::with_capacity(data::DISTRICTS.len());
@@ -86,7 +349,9 @@ impl Gazetteer {
             footprints.push(footprint);
         }
 
-        let centroid_tree = RTree::bulk_load(districts.iter().map(|d| d.centroid).collect());
+        let centroids: Vec<Point> = districts.iter().map(|d| d.centroid).collect();
+        let atlas = Atlas::shared(&centroids, &footprints);
+        let centroid_tree = RTree::bulk_load(centroids);
         Gazetteer {
             districts,
             footprints,
@@ -95,6 +360,7 @@ impl Gazetteer {
             centroid_tree,
             cumulative_pop,
             total_pop,
+            atlas,
         }
     }
 
@@ -199,13 +465,40 @@ impl Gazetteer {
             .collect()
     }
 
-    /// Resolves `p` to a district: polygon-containment first (checking the
-    /// nearest few footprints), falling back to the nearest centroid. This is
-    /// the semantic the mock Yahoo endpoint exposes.
+    /// Resolves `p` to a district, or `None` outside [`KOREA_BBOX`]. Always
+    /// the answer of [`Gazetteer::resolve_point_walk`]: the district atlas
+    /// answers points in cells it proved pure by array index, and every
+    /// other point takes the walk. This is the semantic the mock Yahoo
+    /// endpoint exposes.
     pub fn resolve_point(&self, p: Point) -> Option<DistrictId> {
+        self.resolve_point_traced(p).0
+    }
+
+    /// [`Gazetteer::resolve_point`], also saying whether the atlas answered
+    /// (`true`) rather than the walk.
+    #[inline]
+    pub(crate) fn resolve_point_traced(&self, p: Point) -> (Option<DistrictId>, bool) {
+        if !KOREA_BBOX.contains(p) {
+            return (None, false);
+        }
+        match self.atlas.get(p) {
+            Some(id) => (Some(id), true),
+            None => (self.walk(p), false),
+        }
+    }
+
+    /// The polygon walk that defines [`Gazetteer::resolve_point`]:
+    /// polygon containment first (checking the nearest few footprints by
+    /// centroid), falling back to the nearest centroid. The reference every
+    /// atlas test compares against.
+    pub fn resolve_point_walk(&self, p: Point) -> Option<DistrictId> {
         if !KOREA_BBOX.contains(p) {
             return None;
         }
+        self.walk(p)
+    }
+
+    fn walk(&self, p: Point) -> Option<DistrictId> {
         let candidates = self.centroid_tree.nearest_k(p, 4);
         for &(idx, _) in &candidates {
             if self.footprints[idx].contains(p) {
@@ -269,6 +562,147 @@ impl Default for Gazetteer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn gaz() -> &'static Gazetteer {
+        static GAZ: OnceLock<Gazetteer> = OnceLock::new();
+        GAZ.get_or_init(Gazetteer::load)
+    }
+
+    /// A seeded uniform source in `[0, 1)` (xorshift64*).
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed.max(1);
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// Every pure cell as `(row, col, district)`.
+    fn pure_cells(atlas: &Atlas) -> impl Iterator<Item = (usize, usize, DistrictId)> + '_ {
+        atlas
+            .cells
+            .iter()
+            .enumerate()
+            .filter(|&(_, &d)| d != IMPURE)
+            .map(|(k, &d)| (k / ATLAS_COLS, k % ATLAS_COLS, DistrictId(d)))
+    }
+
+    /// The point at fractions `(u, v)` across cell `(row, col)`; `(0, 0)`
+    /// is its south-west corner and `(1, 1)` its north-east one.
+    fn in_cell(row: usize, col: usize, u: f64, v: f64) -> Point {
+        let lat = corner(KOREA_BBOX.min_lat, row);
+        let lon = corner(KOREA_BBOX.min_lon, col);
+        Point::new(lat + u / ATLAS_CELLS_PER_DEG, lon + v / ATLAS_CELLS_PER_DEG)
+    }
+
+    #[test]
+    fn two_loads_share_one_atlas() {
+        let a = Gazetteer::load();
+        let b = Gazetteer::load();
+        assert!(std::ptr::eq(a.atlas, b.atlas));
+        assert!(std::ptr::eq(a.atlas, gaz().atlas));
+    }
+
+    #[test]
+    fn atlas_answers_most_sampled_fixes() {
+        // Drawn like the tweet generator's fixes: a population-weighted
+        // district, then a point contracted toward its centre. An atlas
+        // that proved no cell pure would answer none of them.
+        let g = gaz();
+        let mut next = uniform(2012);
+        let total = 20_000;
+        let mut answered = 0;
+        for _ in 0..total {
+            let id = g.weighted_district(next());
+            let p = g.sample_point_in_scaled(id, 0.6, &mut next);
+            let (answer, by_atlas) = g.resolve_point_traced(p);
+            assert_eq!(answer, g.resolve_point_walk(p), "{p}");
+            answered += usize::from(by_atlas);
+        }
+        assert!(
+            answered * 100 >= total * 85,
+            "atlas answered only {answered} of {total} fixes"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The atlas never changes an answer: anywhere in the coverage box,
+        /// and within 1e-7° of a pure cell's corners and edges, where a
+        /// rounding slip in the cell index would show.
+        #[test]
+        fn atlas_answers_like_the_walk(
+            lat in 32.5f64..39.5,
+            lon in 124.0f64..132.0,
+            start in 0usize..ATLAS_ROWS * ATLAS_COLS,
+            t in 0.0f64..1.0,
+            dlat in -1e-7f64..1e-7,
+            dlon in -1e-7f64..1e-7,
+        ) {
+            let g = gaz();
+            let p = Point::new(lat, lon);
+            prop_assert_eq!(g.resolve_point(p), g.resolve_point_walk(p));
+            let cells = &g.atlas.cells;
+            let k = (start..start + cells.len())
+                .map(|k| k % cells.len())
+                .find(|&k| cells[k] != IMPURE)
+                .expect("the atlas has pure cells");
+            let (row, col) = (k / ATLAS_COLS, k % ATLAS_COLS);
+            let rims = [
+                (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+                (0.0, t), (1.0, t), (t, 0.0), (t, 1.0),
+            ];
+            for (u, v) in rims {
+                let rim = in_cell(row, col, u, v);
+                for (sa, so) in [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)] {
+                    let q = Point::new(rim.lat + sa * dlat, rim.lon + so * dlon);
+                    prop_assert_eq!(g.resolve_point(q), g.resolve_point_walk(q), "{}", q);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "release-speed proof check: cargo test --release -p stir-geokr -- --ignored atlas"]
+    fn atlas_filtered_build_equals_all_competitor_build() {
+        let g = gaz();
+        let centroids: Vec<Point> = g.districts.iter().map(|d| d.centroid).collect();
+        let full = Atlas::build(&centroids, &g.footprints, false);
+        let mismatches = full
+            .cells
+            .iter()
+            .zip(g.atlas.cells.iter())
+            .filter(|(a, b)| a != b)
+            .count();
+        assert_eq!(mismatches, 0);
+        assert!(pure_cells(&full).count() > 0);
+    }
+
+    #[test]
+    #[ignore = "release-speed proof check: cargo test --release -p stir-geokr -- --ignored atlas"]
+    fn atlas_pure_cells_answer_like_the_walk() {
+        let g = gaz();
+        let mut next = uniform(17);
+        let mut checked = 0u64;
+        for (row, col, d) in pure_cells(g.atlas) {
+            let mut probes = vec![(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5)];
+            probes.extend((0..16).map(|_| (next(), next())));
+            for (u, v) in probes {
+                let q = in_cell(row, col, u, v);
+                assert_eq!(
+                    g.resolve_point_walk(q),
+                    Some(d),
+                    "cell ({row}, {col}) at {q}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 0);
+    }
 
     #[test]
     fn load_has_full_table() {

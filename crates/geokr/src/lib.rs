@@ -12,8 +12,9 @@
 //!   window, and is deliberately absent.)
 //! * [`Gazetteer`] — lookup by id/name/province, synthetic district
 //!   footprints, population-weighted sampling support.
-//! * [`ReverseGeocoder`] — GPS point → district, via an R-tree over district
-//!   centroids with a polygon fast path and an LRU cache.
+//! * [`ReverseGeocoder`] — GPS point → district with traffic counters: a
+//!   district atlas answers most points by array index, and an R-tree
+//!   over district centroids plus a polygon walk answers the rest.
 //! * [`ForwardGeocoder`] — normalized name → district, with ambiguity
 //!   reporting (many district names repeat across provinces: every large
 //!   city has a "Jung-gu").

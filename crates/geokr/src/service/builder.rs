@@ -1,16 +1,17 @@
 //! The one construction surface for every geocoding backend.
 //!
-//! A resilient Yahoo-backed geocoder needs a cache capacity *and* a shard
-//! count *and* a fault plan *and* a retry policy, and positional arguments
+//! A resilient Yahoo-backed geocoder needs a backend choice *and* a fault
+//! plan *and* a retry policy *and* quota limits, and positional arguments
 //! can't say which is which. [`GeocoderBuilder`] names each knob —
-//! `.capacity(..)`, `.shards(..)`, `.backend(..)` — and is what the service
-//! layer, the analysis pipeline and the benches all construct through.
+//! `.backend(..)`, `.fault_plan(..)`, `.resilience(..)` — and is what the
+//! service layer, the analysis pipeline and the benches all construct
+//! through.
 
 use std::fmt;
 use std::str::FromStr;
 
 use crate::gazetteer::Gazetteer;
-use crate::reverse::{self, ReverseGeocoder};
+use crate::reverse::ReverseGeocoder;
 use crate::yahoo::YahooPlaceFinder;
 
 use super::fault::FaultPlan;
@@ -21,7 +22,7 @@ use super::Geocoder;
 /// Which backend a [`GeocoderBuilder`] assembles.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BackendChoice {
-    /// The local gazetteer cache — infallible, the default.
+    /// The local gazetteer — infallible, the default.
     #[default]
     Gazetteer,
     /// The Yahoo XML round-trip endpoint with daily-quota rollover.
@@ -105,8 +106,6 @@ impl Default for ResiliencePolicy {
 /// [`BackendChoice`] names.
 pub struct GeocoderBuilder<'g> {
     gazetteer: &'g Gazetteer,
-    capacity: usize,
-    shards: Option<usize>,
     backend: BackendChoice,
     faults: FaultPlan,
     policy: ResiliencePolicy,
@@ -115,32 +114,16 @@ pub struct GeocoderBuilder<'g> {
 }
 
 impl<'g> GeocoderBuilder<'g> {
-    /// A builder with the defaults: 1M-cell cache, machine-sized shard
-    /// count, gazetteer backend, no faults.
+    /// A builder with the defaults: gazetteer backend, no faults.
     pub fn new(gazetteer: &'g Gazetteer) -> Self {
         GeocoderBuilder {
             gazetteer,
-            capacity: 1 << 20,
-            shards: None,
             backend: BackendChoice::default(),
             faults: FaultPlan::default(),
             policy: ResiliencePolicy::default(),
             yahoo_quota: 50_000,
             yahoo_latency_ms: 120,
         }
-    }
-
-    /// Total cache capacity in quantized cells, split across the shards.
-    pub fn capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity;
-        self
-    }
-
-    /// Cache shard count (rounded up to a power of two); `1` reproduces
-    /// the old single-lock layout the contention bench uses as baseline.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
     }
 
     /// Which backend [`build`](Self::build) assembles.
@@ -169,13 +152,9 @@ impl<'g> GeocoderBuilder<'g> {
         self
     }
 
-    fn shard_count(&self) -> usize {
-        self.shards.unwrap_or_else(reverse::default_shard_count)
-    }
-
     /// The concrete local geocoder (ignores the backend choice).
     pub fn build_reverse(&self) -> ReverseGeocoder<'g> {
-        ReverseGeocoder::assemble(self.gazetteer, self.capacity, self.shard_count())
+        ReverseGeocoder::assemble(self.gazetteer)
     }
 
     fn build_yahoo(&self, with_deadline: bool) -> YahooBackend<'g> {
@@ -245,16 +224,6 @@ mod tests {
             answers.windows(2).all(|w| w[0] == w[1]),
             "every backend answers from the same gazetteer: {answers:?}"
         );
-    }
-
-    #[test]
-    fn builder_forwards_cache_geometry() {
-        let g = Gazetteer::load();
-        let geo = GeocoderBuilder::new(&g)
-            .capacity(1 << 10)
-            .shards(9)
-            .build_reverse();
-        assert_eq!(geo.shard_count(), 16);
     }
 
     #[test]

@@ -59,8 +59,9 @@ pub struct BackendTraffic {
     pub fallbacks: u64,
     /// Lookups that ended without a record.
     pub misses: u64,
-    /// Lookups answered from a cache (the quantized geocoder cache, plus
-    /// the resilient layer's stale cache).
+    /// Lookups answered without the gazetteer's polygon walk: those the
+    /// district atlas answered, plus the resilient layer's stale-cache
+    /// answers.
     pub cache_hits: u64,
     /// Errors observed along the way (retried attempts count each failure).
     pub errors: u64,
@@ -159,7 +160,8 @@ pub trait Geocoder: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// The local gazetteer cache is itself a backend — the infallible default.
+/// The local gazetteer geocoder is itself a backend — the infallible
+/// default.
 impl Geocoder for ReverseGeocoder<'_> {
     fn lookup(&self, p: Point) -> Result<Option<LocationRecord>, GeocodeError> {
         Ok(ReverseGeocoder::lookup(self, p))
@@ -173,7 +175,8 @@ impl Geocoder for ReverseGeocoder<'_> {
     }
 
     /// Zero-allocation override: skips the [`LocationRecord`] (and its
-    /// synthesized town label) entirely — one sharded-cache probe, one id.
+    /// synthesized town label) entirely — one atlas probe (or polygon
+    /// walk), one id.
     fn resolve_id(&self, p: Point) -> Result<Option<crate::DistrictId>, GeocodeError> {
         Ok(self.resolve(p))
     }

@@ -24,7 +24,7 @@ use stir_geoindex::Point;
 
 use crate::error::GeocodeError;
 use crate::location::LocationRecord;
-use crate::reverse::{self, ReverseGeocoder};
+use crate::reverse::ReverseGeocoder;
 
 use super::breaker::{BreakerState, CircuitBreaker};
 use super::builder::ResiliencePolicy;
@@ -34,9 +34,39 @@ use super::{BackendTraffic, Geocoder};
 /// answers are stale-served too — "known outside coverage" is an answer).
 type StaleShard = Mutex<HashMap<(i32, i32), Option<LocationRecord>>>;
 
-/// Per-shard stale-cache budget; a full shard is cleared wholesale, like
-/// the reverse geocoder's cache.
+/// Per-shard stale-cache budget; a full shard is cleared wholesale.
 const STALE_SHARD_CAPACITY: usize = 1 << 16;
+
+/// Stale-cache cells per degree: ~0.0005° ≈ 50 m, far below district size.
+const QUANT: f64 = 2000.0;
+
+/// The stale-cache cell of a point. Quantizes with `floor`, not
+/// truncation: `as i32` rounds toward zero, which would make the cells
+/// straddling 0° double-width and alias negative coordinates with positive
+/// ones (lat −0.0001 and +0.0001 would share a cell).
+fn quantize(p: Point) -> (i32, i32) {
+    (
+        (p.lat * QUANT).floor() as i32,
+        (p.lon * QUANT).floor() as i32,
+    )
+}
+
+/// Shard index for a stale-cache cell: SplitMix64 finalizer over both
+/// halves, low bits.
+fn cell_shard(cell: (i32, i32), mask: usize) -> usize {
+    let mut z = ((cell.0 as u32 as u64) << 32) | cell.1 as u32 as u64;
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    (z ^ (z >> 31)) as usize & mask
+}
+
+/// Stale-cache shard count sized for the machine: next power of two ≥
+/// 4 × threads.
+fn default_shard_count() -> usize {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (threads * 4).next_power_of_two()
+}
 
 /// A [`Geocoder`] decorator that degrades instead of failing.
 pub struct ResilientGeocoder<'g> {
@@ -65,13 +95,13 @@ pub struct ResilientGeocoder<'g> {
 
 impl<'g> ResilientGeocoder<'g> {
     /// Wraps `primary`, falling back to `fallback` (the local gazetteer
-    /// cache) under the given policy.
+    /// geocoder) under the given policy.
     pub fn new(
         primary: Box<dyn Geocoder + 'g>,
         fallback: ReverseGeocoder<'g>,
         policy: ResiliencePolicy,
     ) -> Self {
-        let shards = reverse::default_shard_count();
+        let shards = default_shard_count();
         ResilientGeocoder {
             primary,
             fallback,
@@ -152,11 +182,11 @@ impl<'g> ResilientGeocoder<'g> {
     }
 
     fn stale_shard(&self, cell: (i32, i32)) -> &StaleShard {
-        &self.stale[reverse::cell_shard(cell, self.stale_mask)]
+        &self.stale[cell_shard(cell, self.stale_mask)]
     }
 
     fn store_stale(&self, p: Point, answer: Option<LocationRecord>) {
-        let cell = reverse::quantize(p);
+        let cell = quantize(p);
         let mut shard = self.stale_shard(cell).lock();
         if shard.len() >= STALE_SHARD_CAPACITY {
             shard.clear();
@@ -165,7 +195,7 @@ impl<'g> ResilientGeocoder<'g> {
     }
 
     fn load_stale(&self, p: Point) -> Option<Option<LocationRecord>> {
-        let cell = reverse::quantize(p);
+        let cell = quantize(p);
         self.stale_shard(cell).lock().get(&cell).cloned()
     }
 
@@ -272,6 +302,28 @@ mod tests {
     use crate::gazetteer::Gazetteer;
     use crate::service::{FaultPlan, GeocoderBuilder};
     use crate::yahoo::YahooPlaceFinder;
+
+    #[test]
+    fn quantization_floors_across_zero() {
+        // Regression: `as i32` truncates toward zero, so −0.0001° and
+        // +0.0001° used to share cell 0 and the cell straddling 0° was
+        // double-width. With floor they land in adjacent, distinct cells.
+        let step = 1.0 / QUANT;
+        let north_east = Point::new(step / 4.0, step / 4.0);
+        let south_west = Point::new(-step / 4.0, -step / 4.0);
+        assert_ne!(quantize(north_east), quantize(south_west));
+        assert_eq!(quantize(south_west), (-1, -1));
+        assert_eq!(quantize(north_east), (0, 0));
+        // Southern/western hemisphere points quantize consistently: one
+        // step apart in coordinates → one step apart in key space, with no
+        // double-width cell at the origin.
+        let sydney = Point::new(-33.8688, 151.2093);
+        let step_south = Point::new(-33.8688 - step, 151.2093);
+        assert_eq!(quantize(sydney).0 - 1, quantize(step_south).0);
+        let valparaiso = Point::new(-33.0458, -71.6197);
+        let step_west = Point::new(-33.0458, -71.6197 - step);
+        assert_eq!(quantize(valparaiso).1 - 1, quantize(step_west).1);
+    }
 
     fn resilient<'g>(
         g: &'g Gazetteer,

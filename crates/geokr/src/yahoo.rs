@@ -174,11 +174,7 @@ impl<'g> YahooPlaceFinder<'g> {
     /// An endpoint with explicit quota/latency parameters.
     pub fn with_limits(gazetteer: &'g Gazetteer, daily_quota: u64, latency_ms: u64) -> Self {
         YahooPlaceFinder {
-            geocoder: ReverseGeocoder::assemble(
-                gazetteer,
-                1 << 20,
-                crate::reverse::default_shard_count(),
-            ),
+            geocoder: ReverseGeocoder::assemble(gazetteer),
             daily_quota,
             latency_ms_per_request: latency_ms,
             deadline_ms: None,
@@ -317,8 +313,9 @@ impl<'g> YahooPlaceFinder<'g> {
         )
     }
 
-    /// Traffic counters of the geocoder behind the endpoint (the cache the
-    /// paper's practitioners would have put in front of the quota).
+    /// Traffic counters of the geocoder behind the endpoint
+    /// (`cache_hits` counts the lookups its district atlas answered
+    /// without the polygon walk).
     pub fn geocoder_stats(&self) -> crate::ReverseStats {
         self.geocoder.stats()
     }

@@ -13,6 +13,8 @@
 use bytes::{Buf, BufMut};
 use stir_geoindex::Point;
 
+use crate::segment::quantize_e6;
+
 /// Flag bit: record carries GPS coordinates.
 const FLAG_GPS: u8 = 0b0000_0001;
 
@@ -111,14 +113,26 @@ pub fn encode_record<B: BufMut>(buf: &mut B, rec: &TweetRecord) {
     put_varint(buf, rec.timestamp);
     match rec.gps {
         Some(p) => {
+            let (lat_e6, lon_e6) = quantize_e6(p);
             buf.put_u8(FLAG_GPS);
-            buf.put_i32_le((p.lat * 1e6).round() as i32);
-            buf.put_i32_le((p.lon * 1e6).round() as i32);
+            buf.put_i32_le(lat_e6);
+            buf.put_i32_le(lon_e6);
         }
         None => buf.put_u8(0),
     }
     put_varint(buf, rec.text.len() as u64);
     buf.put_slice(rec.text.as_bytes());
+}
+
+/// The point the codec keeps for `p`: each coordinate rounded to the
+/// nearest micro-degree, exactly as [`encode_record`] writes it and
+/// [`decode_record`] reads it back. The analysis engines geocode this
+/// point rather than the raw fix, so a fix fed from rows and the same fix
+/// read back from a store resolve alike. Idempotent: a decoded point maps
+/// to itself.
+pub fn canonical_point(p: Point) -> Point {
+    let (lat_e6, lon_e6) = quantize_e6(p);
+    Point::new(lat_e6 as f64 / 1e6, lon_e6 as f64 / 1e6)
 }
 
 /// Encodes one record onto `buf` from already-quantized parts — the
@@ -466,6 +480,34 @@ mod tests {
         let mut slice = buf.freeze();
         let back = decode_record(&mut slice).unwrap();
         assert!((back.gps.unwrap().lat - -33.8688).abs() < 1e-6);
+    }
+
+    #[test]
+    fn canonical_point_is_what_a_decode_returns_and_is_idempotent() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..10_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let lat = 32.0 + (state >> 11) as f64 / (1u64 << 53) as f64 * 8.0;
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let lon = -180.0 + (state >> 11) as f64 / (1u64 << 53) as f64 * 360.0;
+            let rec = TweetRecord {
+                id: 1,
+                user: 1,
+                timestamp: 1,
+                gps: Some(Point::new(lat, lon)),
+                text: String::new(),
+            };
+            let mut buf = BytesMut::new();
+            encode_record(&mut buf, &rec);
+            let decoded = decode_record(&mut buf.freeze()).unwrap().gps.unwrap();
+            let canonical = canonical_point(Point::new(lat, lon));
+            assert_eq!(canonical, decoded);
+            assert_eq!(canonical_point(canonical), canonical);
+        }
     }
 
     #[test]

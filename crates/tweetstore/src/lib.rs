@@ -62,12 +62,12 @@ pub mod snapshot;
 pub mod store;
 pub mod wal;
 
-pub use codec::{TweetHeader, TweetRecord, TweetView};
+pub use codec::{canonical_point, TweetHeader, TweetRecord, TweetView};
 pub use colseg::{ColumnCursor, ColumnSegment};
 pub use compact::{compact, gps_only, users_only, CompactionReport};
 pub use query::{AccessPath, Query};
 pub use scan::{BlockChunk, ColumnSlice, HeaderBlocks, ScanMetrics, ScanOptions, ShardScanMetrics};
-pub use segment::ZoneMap;
+pub use segment::{quantize_e6, ZoneMap};
 pub use shard::{
     shard_of, splitmix64, CompactionPolicy, ShardedDurableStore, ShardedHeaderBlocks, ShardedStore,
 };

@@ -16,10 +16,11 @@ use crate::codec::{
 pub const DEFAULT_SEGMENT_BYTES: usize = 4 << 20;
 
 /// Quantizes a coordinate pair to the fixed-point micro-degree grid the
-/// codec stores. Zone-map GPS bounds MUST be tracked on this grid — raw
-/// `f64` bounds could disagree with decoded points by up to half a
-/// micro-degree and prune a segment that actually matches.
-pub(crate) fn quantize_e6(p: stir_geoindex::Point) -> (i32, i32) {
+/// codec stores (each coordinate rounded to the nearest µ°). Zone-map GPS
+/// bounds MUST be tracked on this grid — raw `f64` bounds could disagree
+/// with decoded points by up to half a micro-degree and prune a segment
+/// that actually matches.
+pub fn quantize_e6(p: stir_geoindex::Point) -> (i32, i32) {
     ((p.lat * 1e6).round() as i32, (p.lon * 1e6).round() as i32)
 }
 

@@ -33,10 +33,10 @@ const PROFILE_TEXTS: [&str; 6] = [
     "",
 ];
 
-/// Snaps a reverse-geocoder cell index to that cell's center coordinate.
-/// The scan engines resolve GPS fixes through a 1/2000° cell cache while
-/// the sketcher resolves exactly; at cell centers the two agree for any
-/// point, so arbitrary coordinates stay fair game for the equivalence.
+/// The centre coordinate of cell `k` on a 1/2000° lattice: proptest-chosen
+/// fixes spread over the Korea area on whole micro-degrees.
+/// `tests/proptest_border_fixes.rs` covers raw fixes between lattice
+/// points.
 fn cell_center(k: i64) -> f64 {
     (k as f64 + 0.5) / 2000.0
 }
