@@ -261,18 +261,61 @@ fn group_user_iter<'a>(
     Some(materialize_user(user, profile, &merged, interner))
 }
 
-/// One merged per-user entry before boundary resolution: `(district,
-/// count, first-seen index among the user's distinct districts)`. The
-/// batch kernel builds these transiently; the incremental engines
-/// ([`crate::online`], [`crate::service`]) keep them as live state.
-pub(crate) type MergedId = (DistrictId, u64, u32);
+/// One kept user's running total for one district: `(district, count,
+/// first-seen ordinal)`. The ordinal is the global input position of the
+/// district's earliest string — the store's scan ordinal in the sketch
+/// merge, the ingest ordinal in the live session — so distinct districts
+/// carry distinct ordinals, and ordering by them orders entries exactly as
+/// the batch kernel's dense first-seen ids do.
+pub(crate) type Tally = (DistrictId, u64, u64);
 
-/// The grouping total order over merged entries: count desc, then the
-/// tie-break policy. One definition shared by the batch kernel and the
-/// incremental engines, so their orders can never drift.
-pub(crate) fn merged_cmp(
-    a: &MergedId,
-    b: &MergedId,
+/// Adds `count` strings first seen at `ordinal` to `district`'s tally: the
+/// counts sum, the earlier ordinal stays. A linear probe — a user's
+/// distinct districts are bounded by the vocabulary and in practice few.
+pub(crate) fn bump_tally(tallies: &mut Vec<Tally>, district: DistrictId, count: u64, ordinal: u64) {
+    match tallies.iter_mut().find(|t| t.0 == district) {
+        Some(t) => {
+            t.1 += count;
+            t.2 = t.2.min(ordinal);
+        }
+        None => tallies.push((district, count, ordinal)),
+    }
+}
+
+/// Sorts one user's tallies into grouping order ([`merged_cmp`]).
+pub(crate) fn rank_tallies(
+    tallies: &mut [Tally],
+    tie_break: TieBreak,
+    profile: DistrictId,
+    interner: &DistrictInterner,
+) {
+    tallies.sort_unstable_by(|a, b| merged_cmp(a, b, tie_break, profile, interner));
+}
+
+/// The matched rank [`rank_tallies`] + [`materialize_user`] would report
+/// under [`TieBreak::FirstSeen`] — 1 + the tallies ordering before the
+/// profile district's, `None` without one — with no sort and no
+/// allocation.
+pub(crate) fn tally_rank(
+    tallies: &[Tally],
+    profile: DistrictId,
+    interner: &DistrictInterner,
+) -> Option<usize> {
+    let matched = tallies.iter().find(|t| t.0 == profile)?;
+    let ahead = tallies
+        .iter()
+        .filter(|t| merged_cmp(t, matched, TieBreak::FirstSeen, profile, interner).is_lt())
+        .count();
+    Some(ahead + 1)
+}
+
+/// The grouping total order over merged `(district, count, first-seen)`
+/// entries: count desc, then the tie-break policy. One definition shared
+/// by the batch kernel (dense `u32` first-seen ids), the sketch merge and
+/// the live session ([`Tally`] ordinals), so their orders can never drift.
+pub(crate) fn merged_cmp<K: Ord>(
+    a: &(DistrictId, u64, K),
+    b: &(DistrictId, u64, K),
     tie_break: TieBreak,
     profile: DistrictId,
     interner: &DistrictInterner,
@@ -291,11 +334,11 @@ pub(crate) fn merged_cmp(
 
 /// Resolves a sorted merged list back to the published-string
 /// [`GroupedUser`] — the boundary where ids become strings, shared by the
-/// batch kernel and the incremental engines.
-pub(crate) fn materialize_user(
+/// batch kernel, the sketch merge and the live session.
+pub(crate) fn materialize_user<K>(
     user: u64,
     profile: DistrictId,
-    merged: &[MergedId],
+    merged: &[(DistrictId, u64, K)],
     interner: &DistrictInterner,
 ) -> GroupedUser {
     let (state_profile, county_profile) = interner.resolve(profile);

@@ -2,26 +2,31 @@
 //!
 //! The batch pipeline ([`crate::pipeline`]) recomputes the world per
 //! query; [`AnalysisSession`] keeps the §III-B state live instead. An
-//! arriving tweet costs one kept-cohort probe, one geocode, one merged-
-//! entry bump, and a re-sort of that author's small merged list (its
-//! length is the author's *distinct* district count) — after which every
-//! query is a read over state that is already grouped. The correctness
-//! contract, pinned by property tests: after ingesting any prefix of a
-//! stream, [`SessionQuery::execute`] with no modifiers returns the same
-//! funnel, grouped users, and kept profiles as running the fused batch
-//! pipeline over that same prefix.
+//! arriving tweet costs one kept-cohort probe, one geocode and two tally
+//! bumps — the author's all-time tally for the district and that day's —
+//! with no sort: ranking happens at query time, with the comparator the
+//! batch kernel and the sketch merge share. The correctness contract,
+//! pinned by property tests: after ingesting any prefix of a stream,
+//! [`SessionQuery::execute`] with no modifiers returns the same funnel,
+//! grouped users, and kept profiles as running the fused batch pipeline
+//! over that same prefix, and a windowed query returns the same users as
+//! a windowed batch run over the same days.
 //!
 //! Three layers:
 //!
 //! * [`AnalysisSession`] — in-memory incremental state: the kept cohort
-//!   (stage 1 runs once, at construction), per-user merged district
-//!   counts maintained in grouping order, the funnel counters, and a
-//!   per-user ring of day-bucketed counts for windowed queries.
+//!   (stage 1 runs once, at construction), the funnel counters, and per
+//!   user the tallies the sketch merge accumulates — `(district, count,
+//!   first ingest ordinal)` once all-time and once per (day, district)
+//!   inside the window horizon. The ingest ordinal is the tweet's
+//!   position in the stream (and in the WAL), so first-seen ties break
+//!   exactly as the batch scan breaks them.
 //! * [`SessionQuery`] — the query builder over live state:
-//!   `session.query().top_k(3).window(7).execute()`. Windowed answers
-//!   re-aggregate from the day buckets and tie-break by *global*
-//!   first-seen order (the window narrows counts, not arrival history);
-//!   `top_k(k)` truncates each user's merged list to its top `k` entries.
+//!   `session.query().top_k(3).window(7).execute()`. An answer ranks the
+//!   all-time tallies, or the fold of the in-window day tallies — §III
+//!   applied to the window's tweets, as the batch and sketch engines
+//!   compute it; `top_k(k)` truncates each user's ranked list to its top
+//!   `k` entries.
 //! * [`DurableSession`] — the service shell: every ingest is WAL-appended
 //!   before it touches state, [`DurableSession::checkpoint`] persists a
 //!   [`SessionSnapshot`] frame (see [`stir_tweetstore::snapshot`]), and
@@ -29,68 +34,54 @@
 //!   plus a WAL tail replay — never the whole corpus — surviving torn
 //!   WAL tails and torn checkpoint frames alike.
 //!
-//! Snapshot format (version 1, all integers LE): version, interner length
+//! Snapshot format (version 2, all integers LE): version, interner length
 //! (guard — the snapshot's district ids are indexes into the pipeline's
 //! interner and are meaningless under a different vocabulary), ingest
 //! ordinal, window capacity, latest day, the 14 funnel counters, the kept
-//! map, then per user the profile id, merged entries `(district, count,
-//! first-seen)`, and live day buckets.
+//! map, then per user the profile id, the all-time tallies `(district,
+//! count, first ordinal)`, and the day tallies `(day, district, count,
+//! first ordinal)`. Version 1 (dense per-user first-seen ids) is rejected
+//! with [`SnapshotError::BadVersion`]; a [`DurableSession`] then replays
+//! its whole WAL.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use stir_geoindex::Point;
 use stir_geokr::service::Geocoder;
 use stir_tweetstore::persist::PersistError;
 use stir_tweetstore::{
-    append_snapshot, canonical_point, latest_snapshot, SegmentRef, TweetRecord, TweetStore, Wal,
+    append_snapshot, canonical_point, latest_snapshot, TweetRecord, TweetStore, Wal,
 };
 
 use crate::funnel::CollectionFunnel;
-use crate::grouping::{materialize_user, merged_cmp, GroupedUser, MergedId, TieBreak};
+use crate::grouping::{bump_tally, materialize_user, rank_tallies, tally_rank, Tally, TieBreak};
 use crate::input::ProfileRow;
 use crate::intern::DistrictId;
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{GroupingMetrics, PipelineMetrics};
 use crate::pipeline::{resolve_one, AnalysisResult, RefinementPipeline};
-use crate::sketch::{self, SketchPlan};
 use crate::topk::TopKGroup;
 
 /// Snapshot payload format version.
-const SNAP_VERSION: u32 = 1;
+const SNAP_VERSION: u32 = 2;
 
 /// Default ring capacity: windowed queries can look back this many days.
 const DEFAULT_WINDOW_DAYS: u64 = 32;
 
 const SECONDS_PER_DAY: u64 = 86_400;
 
-/// One day's district counts for one user.
-#[derive(Clone, Debug)]
-struct DayBucket {
-    day: u64,
-    counts: Vec<(DistrictId, u64)>,
-}
-
-/// One user's live state: the all-time merged list kept in grouping order
-/// (so rank queries are a scan) plus the day ring behind windowed queries.
+/// One user's live state: the all-time tally per district, and one tally
+/// per (day, district) behind windowed queries. Both are unordered; an
+/// answer ranks them on demand.
 #[derive(Clone, Debug)]
 struct SessionUser {
     profile: DistrictId,
-    merged: Vec<MergedId>,
-    /// Monotone first-seen counter (merged is sorted, so its length at
-    /// insert time no longer encodes arrival order).
-    next_seen: u32,
-    /// Day buckets within the window horizon, unordered; buckets that
-    /// fall behind `latest_day - window_cap` are evicted on insert.
-    ring: Vec<DayBucket>,
-}
-
-impl SessionUser {
-    fn matched_rank(&self) -> Option<usize> {
-        self.merged
-            .iter()
-            .position(|&(d, _, _)| d == self.profile)
-            .map(|i| i + 1)
-    }
+    tally: Vec<Tally>,
+    /// `(day, tally)` for days within the window horizon, unordered;
+    /// entries behind `latest_day - window_cap + 1` are evicted when the
+    /// user opens a new one.
+    ring: Vec<(u64, Tally)>,
 }
 
 /// Everything a snapshot carries, decoded — the bridge between
@@ -196,45 +187,33 @@ impl SessionSnapshot {
             yahoo_quota_days: r.u64()?,
         };
         let kept_len = r.u64()? as usize;
-        let mut kept = HashMap::with_capacity(kept_len);
+        let mut kept = HashMap::with_capacity(r.capacity(kept_len, 12));
         for _ in 0..kept_len {
             let user = r.u64()?;
             let district = DistrictId(r.u32()?);
             kept.insert(user, district);
         }
         let users_len = r.u64()? as usize;
-        let mut users = HashMap::with_capacity(users_len);
+        let mut users = HashMap::with_capacity(r.capacity(users_len, 20));
         for _ in 0..users_len {
             let user = r.u64()?;
             let profile = DistrictId(r.u32()?);
-            let next_seen = r.u32()?;
-            let merged_len = r.u32()? as usize;
-            let mut merged = Vec::with_capacity(merged_len);
-            for _ in 0..merged_len {
-                let district = DistrictId(r.u32()?);
-                let count = r.u64()?;
-                let first_seen = r.u32()?;
-                merged.push((district, count, first_seen));
+            let tally_len = r.u32()? as usize;
+            let mut tally = Vec::with_capacity(r.capacity(tally_len, 20));
+            for _ in 0..tally_len {
+                tally.push(r.tally()?);
             }
             let ring_len = r.u32()? as usize;
-            let mut ring = Vec::with_capacity(ring_len);
+            let mut ring = Vec::with_capacity(r.capacity(ring_len, 28));
             for _ in 0..ring_len {
                 let day = r.u64()?;
-                let counts_len = r.u32()? as usize;
-                let mut counts = Vec::with_capacity(counts_len);
-                for _ in 0..counts_len {
-                    let district = DistrictId(r.u32()?);
-                    let count = r.u64()?;
-                    counts.push((district, count));
-                }
-                ring.push(DayBucket { day, counts });
+                ring.push((day, r.tally()?));
             }
             users.insert(
                 user,
                 SessionUser {
                     profile,
-                    merged,
-                    next_seen,
+                    tally,
                     ring,
                 },
             );
@@ -257,6 +236,13 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
+    /// `len` clamped to the items of `item_bytes` each that the unread
+    /// bytes can still hold: a length field is read from the payload, so
+    /// it bounds nothing until the items themselves decode.
+    fn capacity(&self, len: usize, item_bytes: usize) -> usize {
+        len.min((self.bytes.len() - self.at) / item_bytes)
+    }
+
     fn take(&mut self, n: usize) -> Result<&[u8], SnapshotError> {
         let end = self.at.checked_add(n).ok_or(SnapshotError::Truncated)?;
         let slice = self
@@ -278,6 +264,16 @@ impl Reader<'_> {
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+
+    fn tally(&mut self) -> Result<Tally, SnapshotError> {
+        Ok((DistrictId(self.u32()?), self.u64()?, self.u64()?))
+    }
+}
+
+fn put_tally(b: &mut Vec<u8>, &(district, count, ordinal): &Tally) {
+    b.extend_from_slice(&district.0.to_le_bytes());
+    b.extend_from_slice(&count.to_le_bytes());
+    b.extend_from_slice(&ordinal.to_le_bytes());
 }
 
 /// The always-on incremental engine: stage 1 (profile selection) runs
@@ -328,160 +324,28 @@ impl<'g> AnalysisSession<'g> {
 
     /// Builds a session whose state already covers every record in
     /// `store` — a [`TweetStore`] or a [`stir_tweetstore::ShardedStore`],
-    /// both a slice of shards — the warm-start counterpart of replaying the
-    /// corpus one [`ingest`](AnalysisSession::ingest) at a time.
-    ///
-    /// When the pipeline opts into sketches (`PipelineBuilder::sketches`,
-    /// gazetteer backend) and every sealed segment yields a group sketch,
-    /// the sealed bulk of the store is bulk-merged straight from the
-    /// per-segment sketches — per-user merged lists reassembled from
-    /// `(count, min global ordinal)` pairs (ordinals accumulate in shard
-    /// order, matching the batch scan), day rings from the sketch day
-    /// buckets, funnel counters from the day totals — and only the open
-    /// tails replay record-wise. Otherwise the whole store replays, shard
-    /// by shard. Either way the resulting session answers queries
-    /// identically to a cold session fed the same records in order.
+    /// both a slice of shards — by replaying every record through
+    /// [`ingest`](AnalysisSession::ingest) in scan order (segment by
+    /// segment, shard by shard), so ingest ordinals are the batch scan's
+    /// ordinals and the session answers exactly like the batch pipeline
+    /// over the same store, with or without sketches.
     pub fn from_store<PI, S>(pipeline: RefinementPipeline<'g>, profiles: PI, store: &S) -> Self
     where
         PI: IntoIterator<Item = ProfileRow>,
         S: AsRef<[TweetStore]> + ?Sized,
     {
         let mut session = Self::new(pipeline, profiles);
-        let shards = store.as_ref();
-        match session
-            .pipeline
-            .sketch_fingerprint()
-            .and_then(|fp| sketch::plan(shards, fp))
-        {
-            Some(plan) => session.warm_start(&plan),
-            None => {
-                for seg in shards.iter().flat_map(|s| s.segments()) {
-                    session.replay_one(&seg);
+        for seg in store.as_ref().iter().flat_map(|s| s.segments()) {
+            for slot in 0..seg.len() as u32 {
+                if let Ok(h) = seg.header(slot) {
+                    session.ingest(h.user, h.timestamp, h.gps);
                 }
             }
         }
         session
     }
 
-    /// Bulk-merges every sealed sketch into live state, then replays the
-    /// open tails record-wise through the ordinary ingest path.
-    fn warm_start(&mut self, plan: &SketchPlan<'_>) {
-        self.merge_sealed(plan);
-        for (seg, _) in &plan.tails {
-            self.replay_one(seg);
-        }
-    }
-
-    /// Folds the sketched (sealed) segments of a plan into session state.
-    ///
-    /// Per-user reconstruction mirrors the batch delta merge: districts
-    /// accumulate `(count, min global ordinal)` across segments, dense
-    /// first-seen ids are assigned in min-ordinal order (the order a
-    /// record-wise replay would have discovered them, since every user's
-    /// records live in one store and sealed ordinals precede the tail's),
-    /// and the merged list is sorted with the shared grouping comparator.
-    /// Day rings rebuild from the sketch day buckets, keeping only days
-    /// within the window horizon — exactly the buckets a windowed query
-    /// can reach.
-    fn merge_sealed(&mut self, plan: &SketchPlan<'_>) {
-        struct Warm {
-            profile: DistrictId,
-            districts: HashMap<DistrictId, (u64, u64)>,
-            days: HashMap<u64, Vec<(DistrictId, u64)>>,
-        }
-        let mut warm: HashMap<u64, Warm> = HashMap::new();
-        let gaz_to_interned = self.pipeline.gaz_to_interned();
-        for (sketch, base, seg) in &plan.sketched {
-            self.ingested += seg.len() as u64;
-            for t in &sketch.day_totals {
-                self.funnel.tweets_total += t.records;
-                self.funnel.tweets_with_gps += t.gps_records;
-            }
-            for u in &sketch.users {
-                let Some(&profile) = self.kept.get(&u.user) else {
-                    continue;
-                };
-                let w = warm.entry(u.user).or_insert_with(|| Warm {
-                    profile,
-                    districts: HashMap::new(),
-                    days: HashMap::new(),
-                });
-                for d in sketch.days_of(u) {
-                    self.funnel.tweets_gps_unresolvable += d.unresolvable;
-                    if !sketch.entries_of(d).is_empty() {
-                        let latest = self.latest_day.get_or_insert(d.day);
-                        *latest = (*latest).max(d.day);
-                    }
-                    for e in sketch.entries_of(d) {
-                        let Some(&interned) = gaz_to_interned.get(e.district as usize) else {
-                            continue;
-                        };
-                        self.funnel.strings_built += e.count;
-                        let slot = w.districts.entry(interned).or_insert((0, u64::MAX));
-                        slot.0 += e.count;
-                        slot.1 = slot.1.min(base + u64::from(e.first_slot));
-                        let day = w.days.entry(d.day).or_default();
-                        match day.iter_mut().find(|(dd, _)| *dd == interned) {
-                            Some(entry) => entry.1 += e.count,
-                            None => day.push((interned, e.count)),
-                        }
-                    }
-                }
-            }
-        }
-        let horizon = self
-            .latest_day
-            .map(|l| l.saturating_sub(self.window_cap - 1));
-        let interner = self.pipeline.interner();
-        for (user, w) in warm {
-            if w.districts.is_empty() {
-                // Only unresolvable fixes — a cold replay never opens
-                // state for such a user either.
-                continue;
-            }
-            let mut ents: Vec<(DistrictId, u64, u64)> = w
-                .districts
-                .into_iter()
-                .map(|(d, (count, ord))| (d, count, ord))
-                .collect();
-            ents.sort_unstable_by_key(|&(_, _, ord)| ord);
-            let mut merged: Vec<MergedId> = ents
-                .iter()
-                .enumerate()
-                .map(|(i, &(d, count, _))| (d, count, i as u32))
-                .collect();
-            let next_seen = merged.len() as u32;
-            merged.sort_unstable_by(|a, b| {
-                merged_cmp(a, b, TieBreak::FirstSeen, w.profile, interner)
-            });
-            let mut ring: Vec<DayBucket> = w
-                .days
-                .into_iter()
-                .filter(|&(day, _)| horizon.is_none_or(|h| day >= h))
-                .map(|(day, counts)| DayBucket { day, counts })
-                .collect();
-            ring.sort_unstable_by_key(|b| b.day);
-            self.users.insert(
-                user,
-                SessionUser {
-                    profile: w.profile,
-                    merged,
-                    next_seen,
-                    ring,
-                },
-            );
-        }
-    }
-
-    fn replay_one(&mut self, seg: &SegmentRef<'_>) {
-        for slot in 0..seg.len() as u32 {
-            if let Ok(h) = seg.header(slot) {
-                self.ingest(h.user, h.timestamp, h.gps);
-            }
-        }
-    }
-
-    /// Sets the windowed-query horizon in days (default 32). Buckets
+    /// Sets the windowed-query horizon in days (default 32). Day tallies
     /// older than this fall off the ring; call before ingesting.
     pub fn with_window_capacity(mut self, days: u64) -> Self {
         debug_assert_eq!(self.ingested, 0, "set the window before ingesting");
@@ -506,12 +370,21 @@ impl<'g> AnalysisSession<'g> {
     }
 
     /// Ingests one tweet, advancing funnel and grouped state exactly as
-    /// the batch pipeline would have counted it. The fix resolves as the
-    /// store keeps it ([`canonical_point`]), so a live fix and its WAL
-    /// replay land in the same district.
+    /// the batch pipeline would have counted it. The tweet's ingest
+    /// ordinal ([`AnalysisSession::ingested`] before the call) is its
+    /// first-seen key. The fix resolves as the store keeps it
+    /// ([`canonical_point`]), so a live fix and its WAL replay land in the
+    /// same district.
     pub fn ingest(&mut self, user: u64, timestamp: u64, gps: Option<Point>) {
+        let ordinal = self.ingested;
         self.ingested += 1;
         self.funnel.tweets_total += 1;
+        // Every tweet advances the newest day, kept fix or not: a window
+        // ends at the newest ingested day, as a batch window over the
+        // same tweets would.
+        let day = timestamp / SECONDS_PER_DAY;
+        let latest = self.latest_day.map_or(day, |l| l.max(day));
+        self.latest_day = Some(latest);
         let Some(p) = gps else { return };
         self.funnel.tweets_with_gps += 1;
         let Some(&profile) = self.kept.get(&user) else {
@@ -526,55 +399,34 @@ impl<'g> AnalysisSession<'g> {
 
         let state = self.users.entry(user).or_insert_with(|| SessionUser {
             profile,
-            merged: Vec::new(),
-            next_seen: 0,
+            tally: Vec::new(),
             ring: Vec::new(),
         });
-        match state.merged.iter_mut().find(|(d, _, _)| *d == district) {
-            Some(entry) => entry.1 += 1,
-            None => {
-                let seen = state.next_seen;
-                state.next_seen += 1;
-                state.merged.push((district, 1, seen));
-            }
-        }
-        // Same total order as the batch kernel; (count, first-seen) pairs
-        // are unique per user, so incremental re-sorting converges on the
-        // exact batch arrangement.
-        let interner = self.pipeline.interner();
-        state
-            .merged
-            .sort_unstable_by(|a, b| merged_cmp(a, b, TieBreak::FirstSeen, profile, interner));
-
-        // Day ring: bump (or open) this day's bucket, advance the global
-        // horizon, drop buckets that fell off it.
-        let day = timestamp / SECONDS_PER_DAY;
-        let latest = self.latest_day.get_or_insert(day);
-        *latest = (*latest).max(day);
+        bump_tally(&mut state.tally, district, 1, ordinal);
         let horizon = latest.saturating_sub(self.window_cap - 1);
-        match state.ring.iter_mut().find(|b| b.day == day) {
-            Some(bucket) => match bucket.counts.iter_mut().find(|(d, _)| *d == district) {
-                Some(entry) => entry.1 += 1,
-                None => bucket.counts.push((district, 1)),
-            },
+        match state
+            .ring
+            .iter_mut()
+            .find(|(d, t)| *d == day && t.0 == district)
+        {
+            // Ordinals only grow, so the entry keeps its first one.
+            Some((_, t)) => t.1 += 1,
             None => {
+                state.ring.retain(|&(d, _)| d >= horizon);
                 if day >= horizon {
-                    state.ring.push(DayBucket {
-                        day,
-                        counts: vec![(district, 1)],
-                    });
+                    state.ring.push((day, (district, 1, ordinal)));
                 }
-                state.ring.retain(|b| b.day >= horizon);
             }
         }
     }
 
     /// The live Top-k group of one user (`None` if not yet grouped) —
-    /// an id-compare scan of the user's already-sorted merged list.
+    /// the rank of the profile district among the user's all-time
+    /// tallies, counted without sorting.
     pub fn group_of(&self, user: u64) -> Option<TopKGroup> {
-        self.users
-            .get(&user)
-            .map(|s| TopKGroup::from_rank(s.matched_rank()))
+        let u = self.users.get(&user)?;
+        let rank = tally_rank(&u.tally, u.profile, self.pipeline.interner());
+        Some(TopKGroup::from_rank(rank))
     }
 
     /// Starts a query over live state.
@@ -636,21 +488,14 @@ impl<'g> AnalysisSession<'g> {
             let s = &self.users[&user];
             b.extend_from_slice(&user.to_le_bytes());
             b.extend_from_slice(&s.profile.0.to_le_bytes());
-            b.extend_from_slice(&s.next_seen.to_le_bytes());
-            b.extend_from_slice(&(s.merged.len() as u32).to_le_bytes());
-            for &(district, count, first_seen) in &s.merged {
-                b.extend_from_slice(&district.0.to_le_bytes());
-                b.extend_from_slice(&count.to_le_bytes());
-                b.extend_from_slice(&first_seen.to_le_bytes());
+            b.extend_from_slice(&(s.tally.len() as u32).to_le_bytes());
+            for t in &s.tally {
+                put_tally(&mut b, t);
             }
             b.extend_from_slice(&(s.ring.len() as u32).to_le_bytes());
-            for bucket in &s.ring {
-                b.extend_from_slice(&bucket.day.to_le_bytes());
-                b.extend_from_slice(&(bucket.counts.len() as u32).to_le_bytes());
-                for &(district, count) in &bucket.counts {
-                    b.extend_from_slice(&district.0.to_le_bytes());
-                    b.extend_from_slice(&count.to_le_bytes());
-                }
+            for (day, t) in &s.ring {
+                b.extend_from_slice(&day.to_le_bytes());
+                put_tally(&mut b, t);
             }
         }
         SessionSnapshot { bytes: b }
@@ -713,11 +558,19 @@ impl SessionQuery<'_, '_> {
         self
     }
 
-    /// Restricts counts to the last `n` days (relative to the newest
-    /// ingested day, inclusive), re-aggregated from the day ring. `n` is
-    /// clamped to the session's window capacity; ties between equal
-    /// in-window counts break by *global* first-seen order. Users with no
-    /// in-window activity are omitted.
+    /// Restricts the answer to the last `n` days: the UTC days
+    /// `[latest + 1 − n, latest + 1)`, where `latest` is the newest
+    /// ingested day (any tweet's, kept fix or not) and `n` is clamped to
+    /// the session's window capacity. Each user's entries are §III over
+    /// the tweets of those days — counts and first-seen ties both taken
+    /// within the window — so the users equal those of
+    /// [`RefinementPipeline::execute_windowed`] over
+    /// `TimeWindow::days(latest + 1 − n, latest + 1)`, scan or sketched.
+    /// Users with no in-window fix are omitted.
+    ///
+    /// The funnel stays all-time (only `users_final` counts the window's
+    /// users): the session keeps no per-day funnel counters, and callers
+    /// read `funnel.tweets_total` as the tweets the live state covers.
     pub fn window(mut self, last_n_days: u64) -> Self {
         self.window_days = Some(last_n_days);
         self
@@ -725,22 +578,49 @@ impl SessionQuery<'_, '_> {
 
     /// Materializes the answer. With no modifiers the result's funnel,
     /// users, and kept profiles are byte-identical to the fused batch
-    /// pipeline run over the tweets ingested so far.
+    /// pipeline run over the tweets ingested so far. The metrics record
+    /// fills the grouping stage — its counters taken before any `top_k`
+    /// cut — and the query's wall time.
     pub fn execute(self) -> AnalysisResult {
+        let started = Instant::now();
         let s = self.session;
         let interner = s.pipeline.interner();
+        // A window's first day. Its end, the day after the newest, needs
+        // no check: no tally is newer.
+        let first_day = self.window_days.map(|n| {
+            let end = s.latest_day.map_or(0, |l| l + 1);
+            end.saturating_sub(n.min(s.window_cap))
+        });
         let mut ids: Vec<u64> = s.users.keys().copied().collect();
         ids.sort_unstable();
         let mut users = Vec::with_capacity(ids.len());
+        let mut grouping = GroupingMetrics {
+            interner_size: interner.len() as u64,
+            threads: 1,
+            blocks_per_thread: vec![1],
+            ..GroupingMetrics::default()
+        };
         for user in ids {
             let u = &s.users[&user];
-            let mut gu = match self.window_days {
-                None => materialize_user(user, u.profile, &u.merged, interner),
-                Some(_) => match self.windowed_user(user, u) {
-                    Some(gu) => gu,
-                    None => continue,
-                },
+            let mut tallies = match first_day {
+                None => u.tally.clone(),
+                Some(first) => {
+                    let mut folded = Vec::new();
+                    for &(_, (district, count, ordinal)) in
+                        u.ring.iter().filter(|(day, _)| *day >= first)
+                    {
+                        bump_tally(&mut folded, district, count, ordinal);
+                    }
+                    folded
+                }
             };
+            if tallies.is_empty() {
+                continue;
+            }
+            grouping.strings += tallies.iter().map(|t| t.1).sum::<u64>();
+            grouping.merged_entries += tallies.len() as u64;
+            rank_tallies(&mut tallies, TieBreak::FirstSeen, u.profile, interner);
+            let mut gu = materialize_user(user, u.profile, &tallies, interner);
             if let Some(k) = self.top_k {
                 gu.entries.truncate(k);
                 gu.matched_rank = gu.matched_rank.filter(|&r| r <= k);
@@ -758,49 +638,21 @@ impl SessionQuery<'_, '_> {
                 (user, (state.to_string(), county.to_string()))
             })
             .collect();
+        let wall = started.elapsed();
+        grouping.users = users.len() as u64;
+        grouping.wall = wall;
+        let mut metrics = PipelineMetrics {
+            grouping,
+            ..PipelineMetrics::default()
+        };
+        metrics.stages.grouping = wall;
+        metrics.stages.total = wall;
         AnalysisResult {
             funnel,
             users,
             kept_profiles,
-            metrics: PipelineMetrics::default(),
+            metrics,
         }
-    }
-
-    /// One user re-aggregated over the window, or `None` when nothing
-    /// landed in it.
-    fn windowed_user(&self, user: u64, u: &SessionUser) -> Option<GroupedUser> {
-        let s = self.session;
-        let n = self.window_days.unwrap_or(0).min(s.window_cap);
-        if n == 0 {
-            return None;
-        }
-        let latest = s.latest_day?;
-        let horizon = latest.saturating_sub(n - 1);
-        let mut merged: Vec<MergedId> = Vec::new();
-        for bucket in u.ring.iter().filter(|b| b.day >= horizon) {
-            for &(district, count) in &bucket.counts {
-                match merged.iter_mut().find(|(d, _, _)| *d == district) {
-                    Some(entry) => entry.1 += count,
-                    None => {
-                        // Global first-seen order: every ringed district
-                        // exists in the all-time merged list.
-                        let first_seen = u
-                            .merged
-                            .iter()
-                            .find(|(d, _, _)| *d == district)
-                            .map(|&(_, _, seen)| seen)
-                            .unwrap_or(u32::MAX);
-                        merged.push((district, count, first_seen));
-                    }
-                }
-            }
-        }
-        if merged.is_empty() {
-            return None;
-        }
-        let interner = s.pipeline.interner();
-        merged.sort_unstable_by(|a, b| merged_cmp(a, b, TieBreak::FirstSeen, u.profile, interner));
-        Some(materialize_user(user, u.profile, &merged, interner))
     }
 }
 
@@ -856,7 +708,9 @@ impl<'g> DurableSession<'g> {
         })
     }
 
-    /// Replays WAL records the session's state does not cover yet.
+    /// Replays WAL records the session's state does not cover yet, from
+    /// ordinal [`AnalysisSession::ingested`] on — the same ordinals the
+    /// records had when first ingested.
     fn replay_tail(session: &mut AnalysisSession<'_>, store: &TweetStore) {
         for rec in store.scan_from(session.ingested()).flatten() {
             session.ingest(rec.user, rec.timestamp, rec.gps);
@@ -1019,6 +873,61 @@ mod tests {
             Err(e) => assert_eq!(e, SnapshotError::BadVersion(99)),
             Ok(_) => panic!("bad-version snapshot restored"),
         }
+        // A length field past the payload: truncated, never an allocation
+        // sized by it. With no live users the payload ends in their count.
+        let pipeline = PipelineBuilder::new(g).build().unwrap();
+        let mut bytes = AnalysisSession::new(pipeline, profiles())
+            .snapshot()
+            .as_bytes()
+            .to_vec();
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&u64::MAX.to_le_bytes());
+        let pipeline = PipelineBuilder::new(g).build().unwrap();
+        match AnalysisSession::restore(pipeline, &SessionSnapshot::from_bytes(bytes)) {
+            Err(e) => assert_eq!(e, SnapshotError::Truncated),
+            Ok(_) => panic!("snapshot with a huge user count restored"),
+        }
+    }
+
+    #[test]
+    fn version_1_snapshot_is_rejected_and_open_replays_the_whole_wal() {
+        let g = gaz();
+        let mut bytes = live_session(g).snapshot().as_bytes().to_vec();
+        bytes[..4].copy_from_slice(&1u32.to_le_bytes());
+        let old = SessionSnapshot::from_bytes(bytes);
+        let pipeline = PipelineBuilder::new(g).build().unwrap();
+        match AnalysisSession::restore(pipeline, &old) {
+            Err(e) => assert_eq!(e, SnapshotError::BadVersion(1)),
+            Ok(_) => panic!("version-1 snapshot restored"),
+        }
+
+        let dir = std::env::temp_dir().join(format!("stir-svc-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (wal_path, snap_path) = (dir.join("session.wal"), dir.join("session.snap"));
+        {
+            let pipeline = PipelineBuilder::new(g).build().unwrap();
+            let mut svc =
+                DurableSession::open(&wal_path, &snap_path, pipeline, profiles()).unwrap();
+            for (i, &(user, timestamp, gps)) in tweets().iter().enumerate() {
+                svc.ingest(&TweetRecord {
+                    id: i as u64,
+                    user,
+                    timestamp,
+                    gps,
+                    text: String::new(),
+                })
+                .unwrap();
+            }
+            svc.checkpoint().unwrap();
+        }
+        // The newest checkpoint frame now carries a version-1 payload.
+        append_snapshot(&snap_path, tweets().len() as u64, old.as_bytes()).unwrap();
+        let pipeline = PipelineBuilder::new(g).build().unwrap();
+        let svc = DurableSession::open(&wal_path, &snap_path, pipeline, profiles()).unwrap();
+        assert_eq!(svc.session().ingested(), tweets().len() as u64);
+        assert_result_identical(&svc.query().execute(), &batch_result(g));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1038,6 +947,35 @@ mod tests {
         let both = session.query().window(2).execute();
         let all = session.query().execute();
         assert_eq!(both.users, all.users);
+    }
+
+    #[test]
+    fn window_ends_at_the_newest_ingested_day() {
+        let g = gaz();
+        let pipeline = PipelineBuilder::new(g).build().unwrap();
+        let mut session = AnalysisSession::new(pipeline, profiles());
+        session.ingest(1, 100, Some(Point::new(YANGCHEON.0, YANGCHEON.1)));
+        // A GPS-less tweet on day 5 moves the newest day, so a one-day
+        // window covers day 5 alone and the day-0 fix falls outside it.
+        session.ingest(2, 5 * SECONDS_PER_DAY + 7, None);
+        assert!(session.query().window(1).execute().users.is_empty());
+        assert_eq!(session.query().window(6).execute().users.len(), 1);
+    }
+
+    #[test]
+    fn query_metrics_match_the_fused_batch_run() {
+        let g = gaz();
+        let live = live_session(g).query().execute();
+        let batch = batch_result(g);
+        let (l, b) = (&live.metrics.grouping, &batch.metrics.grouping);
+        assert_eq!(
+            (l.strings, l.users, l.merged_entries, l.interner_size),
+            (b.strings, b.users, b.merged_entries, b.interner_size)
+        );
+        assert_eq!((l.threads, l.blocks_per_thread.as_slice()), (1, &[1][..]));
+        assert!(l.strings > 0);
+        assert_eq!(live.metrics.stages.grouping, l.wall);
+        assert_eq!(live.metrics.stages.total, l.wall);
     }
 
     #[test]
@@ -1071,9 +1009,8 @@ mod tests {
         assert_eq!(session.group_of(1), Some(TopKGroup::Top1));
     }
 
-    /// A store (or shard set) of tagged records shaped to exercise the
-    /// warm-start merge: several sealed columnar segments with sketches,
-    /// a live tail, multi-day spread, and an unresolvable fix.
+    /// A store of tagged records: several sealed columnar segments with
+    /// sketches, a live tail, multi-day spread, and an unresolvable fix.
     fn sketched_store(records: &[TweetRecord]) -> TweetStore {
         use crate::sketch::GazetteerSketcher;
         use stir_tweetstore::StoreFormat;
@@ -1085,7 +1022,7 @@ mod tests {
         store
     }
 
-    fn warm_corpus() -> Vec<TweetRecord> {
+    fn store_corpus() -> Vec<TweetRecord> {
         let pts = [YANGCHEON, GANGNAM, (35.68, 139.69)]; // third unresolvable
         (0..300u64)
             .map(|i| {
@@ -1102,52 +1039,37 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_from_sketched_store_matches_cold_replay() {
+    fn from_store_matches_cold_replay_with_and_without_sketches() {
         let g = gaz();
-        let records = warm_corpus();
+        let records = store_corpus();
         let store = sketched_store(&records);
         assert!(store.segments().len() > 2, "want sealed segments");
-
-        let sketched = PipelineBuilder::new(g).sketches(true).build().unwrap();
-        let warm = AnalysisSession::from_store(sketched, profiles(), &store);
         let mut cold = AnalysisSession::new(PipelineBuilder::new(g).build().unwrap(), profiles());
         for r in &records {
             cold.ingest(r.user, r.timestamp, r.gps);
         }
-        assert_eq!(warm.ingested(), cold.ingested());
-        assert_result_identical(&warm.query().execute(), &cold.query().execute());
-        // Windowed queries re-aggregate from the warm-rebuilt day rings.
-        for days in [1, 2, 3, 40] {
+        for sketches in [true, false] {
+            let pipeline = PipelineBuilder::new(g).sketches(sketches).build().unwrap();
+            let warm = AnalysisSession::from_store(pipeline, profiles(), &store);
+            assert_eq!(warm.ingested(), cold.ingested());
+            assert_result_identical(&warm.query().execute(), &cold.query().execute());
+            for days in [1, 2, 3, 40] {
+                assert_result_identical(
+                    &warm.query().window(days).execute(),
+                    &cold.query().window(days).execute(),
+                );
+            }
             assert_result_identical(
-                &warm.query().window(days).execute(),
-                &cold.query().window(days).execute(),
+                &warm.query().top_k(1).execute(),
+                &cold.query().top_k(1).execute(),
             );
         }
-        assert_result_identical(
-            &warm.query().top_k(1).execute(),
-            &cold.query().top_k(1).execute(),
-        );
     }
 
     #[test]
-    fn warm_start_falls_back_to_replay_without_sketches() {
+    fn from_store_over_shards_matches_single_store() {
         let g = gaz();
-        let records = warm_corpus();
-        let store = sketched_store(&records);
-        // Pipeline without the sketches opt-in: same answers, scan path.
-        let plain = PipelineBuilder::new(g).build().unwrap();
-        let replayed = AnalysisSession::from_store(plain, profiles(), &store);
-        let mut cold = AnalysisSession::new(PipelineBuilder::new(g).build().unwrap(), profiles());
-        for r in &records {
-            cold.ingest(r.user, r.timestamp, r.gps);
-        }
-        assert_result_identical(&replayed.query().execute(), &cold.query().execute());
-    }
-
-    #[test]
-    fn warm_start_from_shards_matches_single_store() {
-        let g = gaz();
-        let records = warm_corpus();
+        let records = store_corpus();
         let mut sharded = stir_tweetstore::ShardedStore::with_segment_bytes_and_format(
             4,
             512,

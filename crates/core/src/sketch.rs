@@ -13,9 +13,9 @@
 //! * The delta-merge query engine ([`SketchPlan`] / [`execute_plan`]) —
 //!   k-way merges per-segment sketches for the kept cohort, scans only
 //!   the open tail (and, for non-day-aligned windows, the boundary
-//!   buckets' records), and reassembles per-user merged
-//!   `(district, count, first_seen)` state byte-identical to the batch
-//!   engines. Ordinals are reconstructed as `segment base + first_slot`,
+//!   buckets' records), and reassembles per-user `(district, count,
+//!   first ordinal)` tallies whose ranked answer is byte-identical to the
+//!   batch engines'. Ordinals are reconstructed as `segment base + first_slot`,
 //!   so first-seen tie-breaks agree with the scan order by construction.
 
 use std::collections::HashMap;
@@ -25,7 +25,7 @@ use stir_geoindex::Point;
 use stir_geokr::Gazetteer;
 use stir_tweetstore::{GroupSketch, SegmentRef, SketchResolver, TweetStore, ZoneMap};
 
-use crate::grouping::{materialize_user, merged_cmp, GroupedUser, MergedId, TieBreak};
+use crate::grouping::{bump_tally, materialize_user, rank_tallies, GroupedUser, Tally, TieBreak};
 use crate::intern::{DistrictId, DistrictInterner};
 use crate::pipeline::exec::{fix_e6, CoverE6};
 use crate::pipeline::TimeWindow;
@@ -309,26 +309,13 @@ pub(crate) struct MergeParams<'a> {
     pub(crate) tie_break: TieBreak,
 }
 
-/// One kept user's in-flight merge state. Districts accumulate in a small
-/// vector probed linearly — per-user district counts are bounded by the
-/// gazetteer vocabulary and in practice tiny, so a scan beats hashing.
+/// One kept user's in-flight merge state. Districts accumulate through
+/// [`bump_tally`] — per-user district counts are bounded by the gazetteer
+/// vocabulary and in practice tiny, so a linear probe beats hashing.
 struct UserAcc {
     unresolvable: u64,
     /// `(interned district, count, min global ordinal)`.
-    districts: Vec<(DistrictId, u64, u64)>,
-}
-
-impl UserAcc {
-    fn bump(&mut self, district: DistrictId, count: u64, ordinal: u64) {
-        for d in &mut self.districts {
-            if d.0 == district {
-                d.1 += count;
-                d.2 = d.2.min(ordinal);
-                return;
-            }
-        }
-        self.districts.push((district, count, ordinal));
-    }
+    districts: Vec<Tally>,
 }
 
 /// The kept users laid out for merging: ids sorted (the same order
@@ -425,7 +412,12 @@ pub(crate) fn execute_plan(
                     let Some(&interned) = p.gaz_to_interned.get(e.district as usize) else {
                         continue;
                     };
-                    acc.bump(interned, e.count, *base + u64::from(e.first_slot));
+                    bump_tally(
+                        &mut acc.districts,
+                        interned,
+                        e.count,
+                        *base + u64::from(e.first_slot),
+                    );
                     out.entries_merged += 1;
                 }
             }
@@ -476,17 +468,19 @@ fn scan_residual(
         match p.resolver.resolve(gps.lat, gps.lon) {
             None => acc.unresolvable += 1,
             Some(district) => match p.gaz_to_interned.get(district as usize) {
-                Some(&interned) => acc.bump(interned, 1, base + u64::from(slot)),
+                Some(&interned) => {
+                    bump_tally(&mut acc.districts, interned, 1, base + u64::from(slot))
+                }
                 None => acc.unresolvable += 1,
             },
         }
     }
 }
 
-/// Orders each user's districts by first global ordinal (re-deriving the
-/// batch kernel's dense first-seen ids), sorts with the shared grouping
-/// comparator, and materializes — user-id order, like every engine (the
-/// cohort is already id-sorted; untouched users simply have no districts).
+/// Ranks each user's tallies with the shared grouping comparator (global
+/// ordinals order ties exactly as the batch kernel's dense first-seen ids)
+/// and materializes — user-id order, like every engine (the cohort is
+/// already id-sorted; untouched users simply have no districts).
 fn finalize(cohort: Cohort, p: &MergeParams<'_>, mut out: SketchOutcome) -> SketchOutcome {
     let Cohort {
         ids,
@@ -501,15 +495,9 @@ fn finalize(cohort: Cohort, p: &MergeParams<'_>, mut out: SketchOutcome) -> Sket
         let mut ents = acc.districts;
         out.strings_built += ents.iter().map(|e| e.1).sum::<u64>();
         out.merged_entries += ents.len() as u64;
-        ents.sort_unstable_by_key(|&(_, _, ord)| ord);
-        let mut merged: Vec<MergedId> = ents
-            .iter()
-            .enumerate()
-            .map(|(i, &(d, count, _))| (d, count, i as u32))
-            .collect();
-        merged.sort_by(|a, b| merged_cmp(a, b, p.tie_break, profile, p.interner));
+        rank_tallies(&mut ents, p.tie_break, profile, p.interner);
         out.users
-            .push(materialize_user(user, profile, &merged, p.interner));
+            .push(materialize_user(user, profile, &ents, p.interner));
     }
     out
 }

@@ -625,25 +625,6 @@ impl TweetStore {
         self.by_time.range(b0..=b1).map(|(_, v)| v.len()).sum()
     }
 
-    /// Every decodable record in timestamp order (stable by id within a
-    /// timestamp) — the feed the streaming detectors consume. Walks the
-    /// time index bucket by bucket, so cost is proportional to the result,
-    /// not to a sort of the whole store.
-    pub fn scan_time_ordered(&self) -> Vec<TweetRecord> {
-        let mut out: Vec<TweetRecord> = Vec::with_capacity(self.len());
-        for ptrs in self.by_time.values() {
-            let start = out.len();
-            for &p in ptrs {
-                if let Ok(rec) = self.get(p) {
-                    out.push(rec);
-                }
-            }
-            // Buckets are coarse (1 h); order within one bucket.
-            out[start..].sort_by_key(|r| (r.timestamp, r.id));
-        }
-        out
-    }
-
     /// Sealed + active segments in order — a read-only view used by
     /// persistence, compaction, the scan engine, and zone-map inspection.
     /// Each entry is a [`SegmentRef`] carrying its format.
@@ -792,28 +773,6 @@ mod tests {
         // Every record still reachable after rolling.
         assert_eq!(s.scan().filter(|r| r.is_ok()).count(), 2000);
         assert_eq!(s.get_by_id(1999).unwrap().id, 1999);
-    }
-
-    #[test]
-    fn scan_time_ordered_sorts_globally() {
-        let mut s = TweetStore::with_segment_bytes(2048);
-        // Insert with shuffled timestamps across many hour buckets.
-        let mut state = 7u64;
-        for i in 0..800u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let ts = state % (72 * 3600);
-            s.append(&rec(i, i % 9, ts, None));
-        }
-        let ordered = s.scan_time_ordered();
-        assert_eq!(ordered.len(), 800);
-        for w in ordered.windows(2) {
-            assert!(
-                (w[0].timestamp, w[0].id) <= (w[1].timestamp, w[1].id),
-                "out of order: {:?} then {:?}",
-                (w[0].timestamp, w[0].id),
-                (w[1].timestamp, w[1].id)
-            );
-        }
     }
 
     #[test]

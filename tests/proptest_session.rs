@@ -2,16 +2,20 @@
 //! fused batch pipeline: after ingesting any prefix of a stream — in
 //! arbitrary chunk sizes, across a snapshot/restore point, and across a
 //! crash that tears the WAL mid-append — an unmodified session query must
-//! be byte-identical to running the batch pipeline over that same prefix.
+//! be byte-identical to running the batch pipeline over that same prefix,
+//! and a windowed session query must group the same users as a windowed
+//! batch run (scan or sketched) over the same days.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use stir::core::{
-    AnalysisResult, AnalysisSession, DurableSession, PipelineBuilder, ProfileRow, TweetRow,
+    AnalysisResult, AnalysisSession, DurableSession, GazetteerSketcher, PipelineBuilder,
+    ProfileRow, TimeWindow, TweetRow,
 };
 use stir::geokr::Gazetteer;
-use stir::tweetstore::TweetRecord;
+use stir::tweetstore::{StoreFormat, TweetRecord, TweetStore};
 
 fn gaz() -> &'static Gazetteer {
     use std::sync::OnceLock;
@@ -78,6 +82,53 @@ fn corpus(rows: &[(u64, usize, u64)]) -> (Vec<ProfileRow>, Vec<TweetRow>, Vec<u6
 fn batch(g: &'static Gazetteer, profiles: &[ProfileRow], tweets: &[TweetRow]) -> AnalysisResult {
     let pipe = PipelineBuilder::new(g).build().unwrap();
     pipe.execute(profiles.to_vec(), tweets.to_vec())
+}
+
+/// A columnar store of `tweets` in ingest order, with small segments so
+/// sealed (sketched) segments and an open tail both occur.
+fn store_of(
+    tweets: &[TweetRow],
+    timestamps: &[u64],
+    sketcher: &Arc<GazetteerSketcher<'static>>,
+) -> TweetStore {
+    let mut store = TweetStore::with_segment_bytes_and_format(256, StoreFormat::V2);
+    store.set_sketcher(sketcher.clone());
+    for (t, &timestamp) in tweets.iter().zip(timestamps) {
+        store.append(&TweetRecord {
+            id: t.tweet_id,
+            user: t.user,
+            timestamp,
+            gps: t.gps,
+            text: String::new(),
+        });
+    }
+    store
+}
+
+/// Every window `n` in `1..=cap + 1` of the session against the batch
+/// engines over the same days, `TimeWindow::days(latest + 1 − min(n,
+/// cap), latest + 1)` with `latest` the newest day of the prefix.
+fn assert_windows_agree(
+    g: &'static Gazetteer,
+    session: &AnalysisSession<'_>,
+    cap: u64,
+    profiles: &[ProfileRow],
+    store: &TweetStore,
+    latest: u64,
+) -> Result<(), proptest::TestCaseError> {
+    let scan = PipelineBuilder::new(g).build().unwrap();
+    let sketched = PipelineBuilder::new(g).sketches(true).build().unwrap();
+    for n in 1..=cap + 1 {
+        let live = session.query().window(n).execute();
+        let days = TimeWindow::days((latest + 1).saturating_sub(n.min(cap)), latest + 1);
+        prop_assert_eq!(live.funnel.tweets_total, session.ingested());
+        for pipe in [&scan, &sketched] {
+            let batch = pipe.execute_windowed(profiles.to_vec(), store, days);
+            prop_assert_eq!(&live.users, &batch.users, "window {} of cap {}", n, cap);
+            prop_assert_eq!(live.funnel.users_final, batch.funnel.users_final);
+        }
+    }
+    Ok(())
 }
 
 fn assert_identical(a: &AnalysisResult, b: &AnalysisResult) -> Result<(), proptest::TestCaseError> {
@@ -215,5 +266,44 @@ proptest! {
         assert_identical(&svc.query().execute(), &batch(g, &profiles, &tweets))?;
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Windowed answers: at every chunk boundary, across a snapshot/
+    /// restore cut, and for every window up to one past the ring capacity,
+    /// the session ranks each user's in-window tweets exactly as the scan
+    /// and sketch engines rank them — counts and first-seen ties both taken
+    /// within the window.
+    #[test]
+    fn windowed_session_equals_windowed_batch(
+        rows in prop::collection::vec((0u64..8, 0usize..4, 0u64..6), 1..100),
+        chunk in 4usize..40,
+        cap in 1u64..8,
+        cut_seed in 0usize..10_000,
+    ) {
+        let g = gaz();
+        let (profiles, tweets, timestamps) = corpus(&rows);
+        let sketcher = Arc::new(GazetteerSketcher::for_gazetteer(g));
+        let cut = cut_seed % (tweets.len() + 1);
+        let pipe = PipelineBuilder::new(g).build().unwrap();
+        let mut session = AnalysisSession::new(pipe, profiles.clone()).with_window_capacity(cap);
+        let mut fed = 0usize;
+        for batch_rows in tweets.chunks(chunk) {
+            for t in batch_rows {
+                if fed == cut {
+                    let snap = session.snapshot();
+                    let pipe = PipelineBuilder::new(g).build().unwrap();
+                    session = AnalysisSession::restore(pipe, &snap).expect("restore");
+                }
+                session.ingest(t.user, timestamps[fed], t.gps);
+                fed += 1;
+            }
+            let latest = timestamps[..fed].iter().max().unwrap() / 86_400;
+            let store = store_of(&tweets[..fed], &timestamps[..fed], &sketcher);
+            assert_windows_agree(g, &session, cap, &profiles, &store, latest)?;
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! and straddling), every storage format (row, columnar, mixed) and both
 //! store shapes (single, user-hash-sharded), answering from per-segment
 //! group sketches plus a residual scan must be byte-identical to scanning
-//! every record. A warm-started incremental session must agree with the
-//! batch engines over the same store, and a tampered or truncated sketch
+//! every record. A session built from a sketched store must agree with
+//! the batch engines over the same store, and a tampered or truncated sketch
 //! sidecar must never panic or change any answer — it only costs the
 //! shortcut.
 
@@ -191,9 +191,9 @@ proptest! {
         }
     }
 
-    /// A warm-started session (sealed bulk merged from sketches, tail
-    /// replayed record-wise) answers exactly like the batch pipeline and
-    /// like a cold session fed every record in order.
+    /// A session built from a sketched store (`from_store` replays every
+    /// record in scan order) answers exactly like the batch pipeline with
+    /// sketches on, and like a cold session fed every record in order.
     #[test]
     fn warm_session_equals_batch_with_sketches_on(
         rows in prop::collection::vec((0u64..8, 0usize..6, 0u64..4, 0u64..86_400), 1..250),
@@ -228,8 +228,8 @@ proptest! {
             assert_identical(&session.query().execute(), &reference)?;
             session
         };
-        // Windowed session queries read the warm-rebuilt day rings; a
-        // cold session over the same records is the reference.
+        // Windowed session queries read the replayed day tallies; a cold
+        // session over the same records is the reference.
         let mut cold = AnalysisSession::new(
             PipelineBuilder::new(g).build().unwrap(),
             profiles,
