@@ -35,6 +35,7 @@
 pub mod exec;
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use stir_geoindex::Point;
@@ -556,8 +557,10 @@ pub struct AnalysisResult {
     /// Every user with a well-defined profile (cohort or not):
     /// user → (state, county). Downstream consumers (event-location
     /// estimation) use profile districts of users who never produced a GPS
-    /// tweet — exactly the users whose reliability is unknown.
-    pub kept_profiles: HashMap<u64, (String, String)>,
+    /// tweet — exactly the users whose reliability is unknown. The map is
+    /// shared: every answer of one [`crate::AnalysisSession`] holds the
+    /// same one, so cloning it is O(1).
+    pub kept_profiles: Arc<HashMap<u64, (String, String)>>,
     /// Observability: per-stage wall time and geocode-stage detail.
     pub metrics: PipelineMetrics,
 }
@@ -861,6 +864,23 @@ impl<'g> RefinementPipeline<'g> {
         &self.gaz_to_interned
     }
 
+    /// The kept cohort with each profile district resolved to its
+    /// `(state, county)` strings — an answer's
+    /// [`AnalysisResult::kept_profiles`].
+    pub(crate) fn name_kept(
+        &self,
+        kept: &HashMap<u64, DistrictId>,
+    ) -> Arc<HashMap<u64, (String, String)>> {
+        let named = kept
+            .iter()
+            .map(|(&user, &id)| {
+                let (state, county) = self.interner.resolve(id);
+                (user, (state.to_string(), county.to_string()))
+            })
+            .collect();
+        Arc::new(named)
+    }
+
     /// Assembles the configured backend. The pipeline only ever sees
     /// `dyn Geocoder` — the concrete type is the builder's business.
     pub(crate) fn build_backend(&self) -> Box<dyn Geocoder + 'g> {
@@ -971,7 +991,8 @@ impl<'g> RefinementPipeline<'g> {
     /// Every run's frame: stage 1 (timed), then `stages` 2–3 over the kept
     /// cohort, then the boundary resolution of the interned profile
     /// districts to strings — downstream consumers keep their published
-    /// String view.
+    /// String view. The cohort is a request input, so each request names
+    /// its own.
     fn run_with<PI>(
         &self,
         profiles: PI,
@@ -992,17 +1013,10 @@ impl<'g> RefinementPipeline<'g> {
         metrics.stages.select_users = select_start.elapsed();
         let users = stages(&kept, &mut funnel, &mut metrics);
         metrics.stages.total = total_start.elapsed();
-        let kept_profiles = kept
-            .into_iter()
-            .map(|(user, id)| {
-                let (state, county) = self.interner.resolve(id);
-                (user, (state.to_string(), county.to_string()))
-            })
-            .collect();
         AnalysisResult {
             funnel,
             users,
-            kept_profiles,
+            kept_profiles: self.name_kept(&kept),
             metrics,
         }
     }

@@ -31,8 +31,9 @@
 //!   before it touches state, [`DurableSession::checkpoint`] persists a
 //!   [`SessionSnapshot`] frame (see [`stir_tweetstore::snapshot`]), and
 //!   [`DurableSession::open`] resumes from the newest intact checkpoint
-//!   plus a WAL tail replay — never the whole corpus — surviving torn
-//!   WAL tails and torn checkpoint frames alike.
+//!   plus a replay of the WAL tail into the session, surviving torn WAL
+//!   tails and torn checkpoint frames alike. Opening still reads and
+//!   checks the whole log: only the replay is limited to the tail.
 //!
 //! Snapshot format (version 2, all integers LE): version, interner length
 //! (guard — the snapshot's district ids are indexes into the pipeline's
@@ -46,6 +47,7 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use stir_geoindex::Point;
@@ -286,6 +288,10 @@ pub struct AnalysisSession<'g> {
     pipeline: RefinementPipeline<'g>,
     backend: Box<dyn Geocoder + 'g>,
     kept: HashMap<u64, DistrictId>,
+    /// `kept` with its districts named, filled by the first answer and
+    /// shared by every later one. `kept` never changes after `new` or
+    /// `from_state`, so nothing invalidates it; snapshots do not carry it.
+    kept_named: OnceLock<Arc<HashMap<u64, (String, String)>>>,
     users: HashMap<u64, SessionUser>,
     funnel: CollectionFunnel,
     /// Tweets ingested — the WAL replay ordinal: a restored session with
@@ -313,6 +319,7 @@ impl<'g> AnalysisSession<'g> {
             pipeline,
             backend,
             kept,
+            kept_named: OnceLock::new(),
             users: HashMap::new(),
             funnel,
             ingested: 0,
@@ -520,6 +527,7 @@ impl<'g> AnalysisSession<'g> {
             pipeline,
             backend,
             kept: state.kept,
+            kept_named: OnceLock::new(),
             users: state.users,
             funnel: state.funnel,
             ingested: state.ingested,
@@ -631,13 +639,9 @@ impl SessionQuery<'_, '_> {
         funnel.users_final = users.len() as u64;
         funnel.yahoo_quota_days = s.quota_days();
         let kept_profiles = s
-            .kept
-            .iter()
-            .map(|(&user, &id)| {
-                let (state, county) = interner.resolve(id);
-                (user, (state.to_string(), county.to_string()))
-            })
-            .collect();
+            .kept_named
+            .get_or_init(|| s.pipeline.name_kept(&s.kept))
+            .clone();
         let wall = started.elapsed();
         grouping.users = users.len() as u64;
         grouping.wall = wall;
@@ -661,7 +665,9 @@ impl SessionQuery<'_, '_> {
 /// log of [`SessionSnapshot`] frames. [`DurableSession::open`] recovers
 /// the WAL (torn tail truncated), restores the newest intact checkpoint
 /// whose ordinal the recovered log still covers, and replays only the
-/// tail — a restart is O(tail), not O(corpus).
+/// tail into the session. The recovery reads, checks and indexes every
+/// frame of the log, so a restart still costs O(corpus) I/O and CPU; only
+/// the session replay is O(tail).
 pub struct DurableSession<'g> {
     session: AnalysisSession<'g>,
     wal: Wal,
@@ -828,8 +834,12 @@ mod tests {
     #[test]
     fn unmodified_query_equals_batch() {
         let g = gaz();
-        let live = live_session(g).query().execute();
+        let session = live_session(g);
+        let live = session.query().execute();
         assert_result_identical(&live, &batch_result(g));
+        // Every answer of one session shares one named cohort.
+        let week = session.query().window(7).top_k(5).execute();
+        assert!(Arc::ptr_eq(&live.kept_profiles, &week.kept_profiles));
     }
 
     #[test]

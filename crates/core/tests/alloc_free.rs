@@ -1,4 +1,6 @@
-//! Proves the interned merge loop allocates nothing per tweet.
+//! Proves the interned merge loop allocates nothing per tweet, and pins
+//! the live tier's allocation counts: a durable ingest allocates nothing
+//! per record, and a session answer nothing per kept-cohort member.
 //!
 //! A counting global allocator wraps the system one; the test groups the
 //! same district mix at two tweet volumes two orders of magnitude apart and
@@ -104,7 +106,6 @@ fn merge_loop_allocation_count_is_independent_of_tweet_count() {
 fn warm_session_ingest_and_rank_queries_are_allocation_free() {
     let _serial = serial();
     use stir_core::{AnalysisSession, PipelineBuilder, ProfileRow};
-    use stir_geoindex::Point;
     use stir_geokr::{Gazetteer, ReverseGeocoder};
 
     const DAY: u64 = 86_400;
@@ -115,12 +116,7 @@ fn warm_session_ingest_and_rank_queries_are_allocation_free() {
         location_text: "Seoul Yangcheon-gu".into(),
     });
     let mut session = AnalysisSession::new(pipeline, profiles);
-    let spots = [
-        Point::new(37.517, 126.866), // Yangcheon-gu
-        Point::new(37.517, 127.047), // Gangnam-gu
-        Point::new(35.106, 129.032), // Busan Jung-gu
-        Point::new(37.345, 126.968), // Uiwang-si
-    ];
+    let spots = atlas_spots();
     // Every spot sits in a pure cell of the district atlas, so ingest
     // resolves it by array index. A fix the atlas leaves to the polygon
     // walk still allocates (`RTree::nearest_k` builds a `Vec` and a heap
@@ -187,4 +183,115 @@ fn merge_loop_allocations_scale_with_district_count_only() {
         wide_allocs < 6 * 64,
         "{wide_allocs} allocations for 64 districts"
     );
+}
+
+/// Four fixes in pure cells of the district atlas (checked in
+/// `warm_session_ingest_and_rank_queries_are_allocation_free`): ingest
+/// resolves them by array index, with no polygon walk.
+fn atlas_spots() -> [stir_geoindex::Point; 4] {
+    use stir_geoindex::Point;
+    [
+        Point::new(37.517, 126.866), // Yangcheon-gu
+        Point::new(37.517, 127.047), // Gangnam-gu
+        Point::new(35.106, 129.032), // Busan Jung-gu
+        Point::new(37.345, 126.968), // Uiwang-si
+    ]
+}
+
+/// Profiles of `n` kept users, all in Yangcheon-gu.
+fn kept_cohort(n: u64) -> impl Iterator<Item = stir_core::ProfileRow> {
+    (0..n).map(|user| stir_core::ProfileRow {
+        user,
+        location_text: "Seoul Yangcheon-gu".into(),
+    })
+}
+
+#[test]
+fn warm_window_query_allocations_do_not_grow_with_the_kept_cohort() {
+    let _serial = serial();
+    use stir_core::{AnalysisSession, PipelineBuilder};
+    use stir_geokr::Gazetteer;
+
+    const DAY: u64 = 86_400;
+    let gazetteer = Gazetteer::load();
+    // Users 0..16 tweet; every other kept member never does.
+    let allocs_with_cohort = |members: u64| {
+        let pipeline = PipelineBuilder::new(&gazetteer).threads(1).build().unwrap();
+        let mut session = AnalysisSession::new(pipeline, kept_cohort(members));
+        for i in 0..4_000u64 {
+            let spot = atlas_spots()[(i % 4) as usize];
+            session.ingest(i % 16, (i % 9) * DAY, Some(spot));
+        }
+        let query = || session.query().window(7).top_k(5).execute();
+        let warm = query();
+        assert_eq!(warm.kept_profiles.len() as u64, members);
+        assert_eq!(warm.users.len(), 16);
+        allocations_during(query).1
+    };
+    let (small, large) = (allocs_with_cohort(100), allocs_with_cohort(10_000));
+    assert_eq!(
+        small, large,
+        "a warm answer allocated per kept member: {small} blocks with 100 \
+         members vs {large} with 10,000"
+    );
+}
+
+#[test]
+fn warm_durable_ingest_allocations_do_not_grow_with_the_record_count() {
+    let _serial = serial();
+    use stir_core::{DurableSession, PipelineBuilder};
+    use stir_geokr::Gazetteer;
+    use stir_tweetstore::TweetRecord;
+
+    const DAY: u64 = 86_400;
+    let gazetteer = Gazetteer::load();
+    let dir = std::env::temp_dir().join(format!("stir-alloc-free-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let pipeline = PipelineBuilder::new(&gazetteer).threads(1).build().unwrap();
+    let mut svc = DurableSession::open(
+        &dir.join("session.wal"),
+        &dir.join("session.snap"),
+        pipeline,
+        kept_cohort(16),
+    )
+    .unwrap();
+    // Three of every four tweets carry no fix, as most of a real stream.
+    let records = |n: u64, base: u64| -> Vec<TweetRecord> {
+        (base..base + n)
+            .map(|i| TweetRecord {
+                id: i,
+                user: i % 16,
+                timestamp: (i % 3) * DAY + i % 1000,
+                gps: (i % 4 == 0).then(|| atlas_spots()[(i / 4 % 4) as usize]),
+                text: format!("tweet {i} from the firehose"),
+            })
+            .collect()
+    };
+    // Warm-up: every user, district and day, so each tally and day ring
+    // and the log's encode buffer have reached their final size.
+    for rec in &records(4_000, 0) {
+        svc.ingest(rec).unwrap();
+    }
+    svc.sync().unwrap();
+    let mut ingest_all = |batch: &[TweetRecord]| {
+        allocations_during(|| {
+            for rec in batch {
+                svc.ingest(rec).unwrap();
+            }
+        })
+        .1
+    };
+    let (small_batch, large_batch) = (records(1_000, 4_000), records(20_000, 5_000));
+    let small = ingest_all(&small_batch);
+    let large = ingest_all(&large_batch);
+    svc.sync().unwrap();
+    assert_eq!(
+        small, large,
+        "durable ingest allocated per record: {small} blocks for 1,000 \
+         records vs {large} for 20,000"
+    );
+    assert_eq!(svc.session().ingested(), 25_000);
+    drop(svc);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -47,7 +47,7 @@ impl<'g> ObservationBuilder<'g> {
         let mut profile_district = HashMap::with_capacity(analysis.kept_profiles.len());
         // Every well-defined profile is usable as a (possibly unreliable)
         // position source — that is how Twitris/Toretter consumed profiles.
-        for (&user, (state, county)) in &analysis.kept_profiles {
+        for (&user, (state, county)) in analysis.kept_profiles.iter() {
             if let Some(id) = resolve_profile(gazetteer, state, county) {
                 profile_district.insert(user, id);
             }

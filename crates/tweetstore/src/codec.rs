@@ -9,6 +9,11 @@
 //!
 //! GPS coordinates are fixed-point micro-degrees (`i32`), ~11 cm of
 //! resolution — far beyond GPS accuracy — in 8 bytes instead of 16.
+//!
+//! There is one record encoder, `encode_parts`: it writes the fixed
+//! fields into a stack buffer and hands the buffer and the text to the
+//! sink as two slices. [`encode_record`], the WAL, the store and the
+//! sharded bulk ingest all go through it.
 
 use bytes::{Buf, BufMut};
 use stir_geoindex::Point;
@@ -73,17 +78,31 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Writes a LEB128 varint.
-pub fn put_varint<B: BufMut>(buf: &mut B, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT: usize = 10;
+
+/// Longest record header: three varints, the flag byte, two `i32`
+/// coordinates and the text-length varint.
+const MAX_HEADER: usize = 3 * MAX_VARINT + 1 + 8 + MAX_VARINT;
+
+/// Writes `v` as a LEB128 varint into `out` at `at`; returns the index
+/// just past it.
+#[inline]
+fn write_varint(out: &mut [u8], mut at: usize, mut v: u64) -> usize {
+    while v >= 0x80 {
+        out[at] = v as u8 | 0x80;
         v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
+        at += 1;
     }
+    out[at] = v as u8;
+    at + 1
+}
+
+/// Writes a LEB128 varint.
+pub fn put_varint<B: BufMut>(buf: &mut B, v: u64) {
+    let mut bytes = [0u8; MAX_VARINT];
+    let len = write_varint(&mut bytes, 0, v);
+    buf.put_slice(&bytes[..len]);
 }
 
 /// Reads a LEB128 varint.
@@ -108,20 +127,14 @@ pub fn get_varint<B: Buf>(buf: &mut B) -> Result<u64, CodecError> {
 
 /// Encodes one record onto `buf`.
 pub fn encode_record<B: BufMut>(buf: &mut B, rec: &TweetRecord) {
-    put_varint(buf, rec.id);
-    put_varint(buf, rec.user);
-    put_varint(buf, rec.timestamp);
-    match rec.gps {
-        Some(p) => {
-            let (lat_e6, lon_e6) = quantize_e6(p);
-            buf.put_u8(FLAG_GPS);
-            buf.put_i32_le(lat_e6);
-            buf.put_i32_le(lon_e6);
-        }
-        None => buf.put_u8(0),
-    }
-    put_varint(buf, rec.text.len() as u64);
-    buf.put_slice(rec.text.as_bytes());
+    encode_parts(
+        buf,
+        rec.id,
+        rec.user,
+        rec.timestamp,
+        rec.gps.map(quantize_e6),
+        rec.text.as_bytes(),
+    );
 }
 
 /// The point the codec keeps for `p`: each coordinate rounded to the
@@ -135,10 +148,11 @@ pub fn canonical_point(p: Point) -> Point {
     Point::new(lat_e6 as f64 / 1e6, lon_e6 as f64 / 1e6)
 }
 
-/// Encodes one record onto `buf` from already-quantized parts — the
-/// columnar→row conversion path. Byte-identical to [`encode_record`] on
-/// the record those parts decode to: GPS coordinates are written as the
-/// stored µ° integers directly, so no float round-trip can perturb them.
+/// Encodes one record onto `buf` from its parts, the GPS fix already
+/// quantized to µ° — the one record encoder. The fixed fields go through
+/// one stack buffer, so the sink sees two `put_slice` calls: the header
+/// and the text. The columnar→row conversion calls it with a segment's
+/// stored µ° integers, so no float round-trip can perturb them.
 pub(crate) fn encode_parts<B: BufMut>(
     buf: &mut B,
     id: u64,
@@ -147,18 +161,21 @@ pub(crate) fn encode_parts<B: BufMut>(
     gps_e6: Option<(i32, i32)>,
     text: &[u8],
 ) {
-    put_varint(buf, id);
-    put_varint(buf, user);
-    put_varint(buf, timestamp);
+    let mut head = [0u8; MAX_HEADER];
+    let mut at = write_varint(&mut head, 0, id);
+    at = write_varint(&mut head, at, user);
+    at = write_varint(&mut head, at, timestamp);
     match gps_e6 {
         Some((lat_e6, lon_e6)) => {
-            buf.put_u8(FLAG_GPS);
-            buf.put_i32_le(lat_e6);
-            buf.put_i32_le(lon_e6);
+            head[at] = FLAG_GPS;
+            head[at + 1..at + 5].copy_from_slice(&lat_e6.to_le_bytes());
+            head[at + 5..at + 9].copy_from_slice(&lon_e6.to_le_bytes());
+            at += 9;
         }
-        None => buf.put_u8(0),
+        None => at += 1, // flag byte 0
     }
-    put_varint(buf, text.len() as u64);
+    at = write_varint(&mut head, at, text.len() as u64);
+    buf.put_slice(&head[..at]);
     buf.put_slice(text);
 }
 
@@ -395,6 +412,121 @@ pub fn fnv1a(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use bytes::BytesMut;
+    use proptest::prelude::*;
+
+    /// The per-byte encoder the stack-buffer one replaced, kept as the
+    /// reference: one `put_u8` per varint byte and per fixed field.
+    fn reference_put_varint<B: BufMut>(buf: &mut B, mut v: u64) {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                buf.put_u8(byte);
+                return;
+            }
+            buf.put_u8(byte | 0x80);
+        }
+    }
+
+    fn reference_encode_record<B: BufMut>(buf: &mut B, rec: &TweetRecord) {
+        reference_put_varint(buf, rec.id);
+        reference_put_varint(buf, rec.user);
+        reference_put_varint(buf, rec.timestamp);
+        match rec.gps {
+            Some(p) => {
+                let (lat_e6, lon_e6) = quantize_e6(p);
+                buf.put_u8(FLAG_GPS);
+                buf.put_i32_le(lat_e6);
+                buf.put_i32_le(lon_e6);
+            }
+            None => buf.put_u8(0),
+        }
+        reference_put_varint(buf, rec.text.len() as u64);
+        buf.put_slice(rec.text.as_bytes());
+    }
+
+    /// 0, `u64::MAX`, 2^63, and both sides of every varint length step
+    /// (2^7k − 1 and 2^7k).
+    fn varint_boundaries() -> Vec<u64> {
+        let mut edges = vec![0, u64::MAX, 1 << 63];
+        for k in 1..=9 {
+            edges.extend([(1u64 << (7 * k)) - 1, 1 << (7 * k)]);
+        }
+        edges
+    }
+
+    /// A boundary value about half the time, otherwise a random value of
+    /// random width.
+    fn varint() -> impl Strategy<Value = u64> {
+        (0usize..42, any::<u64>(), 0u32..64).prop_map(|(pick, random, shift)| {
+            varint_boundaries()
+                .get(pick)
+                .copied()
+                .unwrap_or(random >> shift)
+        })
+    }
+
+    /// No fix, a random one, a corner of the coordinate range, or a
+    /// south-western one.
+    fn gps() -> impl Strategy<Value = Option<Point>> {
+        (
+            0u8..4,
+            -90.0f64..=90.0,
+            -180.0f64..=180.0,
+            any::<bool>(),
+            any::<bool>(),
+        )
+            .prop_map(|(kind, lat, lon, north, east)| match kind {
+                0 => None,
+                1 => Some(Point::new(lat, lon)),
+                2 => Some(Point::new(
+                    if north { 90.0 } else { -90.0 },
+                    if east { 180.0 } else { -180.0 },
+                )),
+                _ => Some(Point::new(-lat.abs(), -lon.abs())),
+            })
+    }
+
+    /// Empty, short printable (ASCII and multi-byte), or longer than 127
+    /// bytes in one or three bytes a character.
+    fn text() -> impl Strategy<Value = String> {
+        (0u8..4, "\\PC{0,60}", "[a-z]{128,200}", "[가-힣]{43,80}").prop_map(
+            |(kind, short, ascii, hangul)| match kind {
+                0 => String::new(),
+                1 => short,
+                2 => ascii,
+                _ => hangul,
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn encode_record_equals_the_per_byte_reference(
+            id in varint(),
+            user in varint(),
+            timestamp in varint(),
+            gps in gps(),
+            text in text(),
+        ) {
+            let rec = TweetRecord { id, user, timestamp, gps, text };
+            // A non-empty sink: the encoder must append, not overwrite.
+            let (mut got, mut want) = (vec![0xAB], vec![0xAB]);
+            encode_record(&mut got, &rec);
+            reference_encode_record(&mut want, &rec);
+            prop_assert_eq!(got, want);
+        }
+
+        #[test]
+        fn put_varint_equals_the_per_byte_reference(v in varint()) {
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            put_varint(&mut got, v);
+            reference_put_varint(&mut want, v);
+            prop_assert_eq!(got, want);
+        }
+    }
 
     fn sample(gps: bool) -> TweetRecord {
         TweetRecord {

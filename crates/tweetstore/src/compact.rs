@@ -9,9 +9,9 @@
 //!
 //! Compaction is zero-copy on the record level for row segments: the
 //! predicate is decided on [`TweetHeader`]s alone, and survivors are moved
-//! as raw encoded frames (checksum re-verified by
-//! [`TweetStore::append_raw`]) — a record's bytes are never decoded into a
-//! `String` and re-encoded just to be kept. Survivors of columnar
+//! as raw encoded frames through [`TweetStore::append_raw`] — a record's
+//! bytes are never decoded into a `String` and re-encoded just to be
+//! kept. Survivors of columnar
 //! (`STIRSEG2`) segments are re-framed from the decoded columns without a
 //! float or UTF-8 round-trip.
 //!
@@ -59,7 +59,7 @@ impl CompactionReport {
 /// Rebuilds `store` keeping only records whose *header* satisfies `keep`.
 /// Indexes are rebuilt from scratch; record order is preserved. Survivors
 /// are copied as raw frames — decoded once for the header, never for the
-/// text — and the copy is re-verified with the codec's FNV-1a checksum.
+/// text.
 pub fn compact<F: FnMut(&TweetHeader) -> bool>(
     store: &TweetStore,
     mut keep: F,

@@ -27,8 +27,8 @@
 //!   [`Query::for_each`] and [`Query::scan_filtered`], with [`ScanMetrics`]
 //!   reporting pruning and decode volume.
 //! * [`compact`] — predicate compaction (the paper's GPS-only filter as a
-//!   storage operation); survivors are copied as raw frames, re-verified
-//!   by checksum, never re-encoded.
+//!   storage operation); survivors are copied as raw frames, never
+//!   re-encoded.
 //! * [`persist`] — directory-based save/load with manifest and checksums;
 //!   the manifest carries each segment's zone map, cross-checked against
 //!   the rebuilt statistics on load.

@@ -312,7 +312,7 @@ impl ShardedStore {
     /// Detaches shard `shard`'s current frames into an owned
     /// [`CompactionJob`] that can be rewritten on any thread. The live
     /// shard keeps serving reads and appends; nothing blocks. Frames are
-    /// moved raw (checksum re-verified), never re-encoded.
+    /// moved raw, never re-encoded.
     pub fn begin_compaction(&self, shard: usize) -> CompactionJob {
         let src = &self.shards[shard];
         let mut detached =
@@ -320,9 +320,9 @@ impl ShardedStore {
         let mut scratch = Vec::new();
         for seg in src.segments() {
             for slot in 0..seg.len() as u32 {
-                // The source store verified these frames at append; a
-                // re-verify failure here would be a memory error, so
-                // propagating is pointless — skip defensively.
+                // The source store validated these frames at append; a
+                // failure here would be a memory error, so propagating is
+                // pointless — skip defensively.
                 let _ = detached.append_raw(reframe(seg, slot, &mut scratch));
             }
         }
@@ -562,8 +562,8 @@ impl CompactionJob {
     }
 
     /// Rewrites the detached frames through [`crate::compact::compact`] —
-    /// zero-copy raw-frame moves, checksums re-verified. Runs on any
-    /// thread; the sharded store is untouched meanwhile.
+    /// zero-copy raw-frame moves. Runs on any thread; the sharded store is
+    /// untouched meanwhile.
     pub fn run<F: FnMut(&TweetHeader) -> bool>(self, keep: F) -> CompactedShard {
         let (compacted, report) = compact(&self.store, keep);
         CompactedShard {

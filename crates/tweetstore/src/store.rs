@@ -473,29 +473,29 @@ impl TweetStore {
     }
 
     /// Appends an already-encoded record frame without re-encoding (and
-    /// without decoding the text). The copied bytes are re-verified with
-    /// the same FNV-1a checksum persistence uses, so a raw-copy path can
-    /// never silently corrupt a record. Used by compaction and WAL replay.
+    /// without decoding the text); the frame must be exactly one valid
+    /// record header plus its text bytes. Used by compaction and WAL
+    /// replay, which checks each frame's stored checksum itself.
     pub fn append_raw(&mut self, frame: &[u8]) -> Result<RecordPtr, CodecError> {
         self.append_raw_with_crc(frame, fnv1a(frame))
     }
 
-    /// [`TweetStore::append_raw`] when the caller already holds the
-    /// frame's FNV-1a checksum (the WAL framing carries it): the copied
-    /// bytes are verified against it directly, skipping the second hash
-    /// pass while keeping the same end-to-end guarantee.
+    /// [`TweetStore::append_raw`] under the caller's FNV-1a checksum of
+    /// the frame (the WAL framing carries one). The frame is checked
+    /// against it before anything is appended: a mismatch is
+    /// [`CodecError::ChecksumMismatch`] and leaves the store as it was.
     pub(crate) fn append_raw_with_crc(
         &mut self,
         frame: &[u8],
         expected: u32,
     ) -> Result<RecordPtr, CodecError> {
-        self.roll_if_full();
-        let seg = self.sealed.len() as u32;
-        let (slot, header) = self.active.append_raw_frame(frame)?;
-        let actual = fnv1a(self.active.raw(slot));
+        let actual = fnv1a(frame);
         if expected != actual {
             return Err(CodecError::ChecksumMismatch { expected, actual });
         }
+        self.roll_if_full();
+        let seg = self.sealed.len() as u32;
+        let (slot, header) = self.active.append_raw_frame(frame)?;
         let ptr = RecordPtr { seg, slot };
         self.index_record(&header, ptr, frame.len() as u64);
         Ok(ptr)
@@ -808,6 +808,45 @@ mod tests {
         let before = b.stats();
         assert!(b.append_raw(&[0xFF; 3]).is_err());
         assert_eq!(b.stats(), before);
+    }
+
+    #[test]
+    fn wrong_crc_append_leaves_no_trace() {
+        // A full tail: any append that got past the check would roll it.
+        let mut s = TweetStore::with_segment_bytes(1024);
+        for id in 0.. {
+            if s.stats().payload_bytes >= 1024 {
+                break;
+            }
+            s.append(&rec(id, 1, 10, None));
+        }
+        let mut donor = TweetStore::new();
+        donor.append(&rec(2, 2, 20, Some((35.1, 129.0))));
+        let frame = donor.segments()[0].as_rows().unwrap().raw(0).to_vec();
+        let lens = |s: &TweetStore| s.segments().iter().map(|g| g.len()).collect::<Vec<_>>();
+        let zones = |s: &TweetStore| {
+            s.segments()
+                .iter()
+                .map(|g| *g.zone_map())
+                .collect::<Vec<_>>()
+        };
+        let (len, seg_lens, zone_maps) = (s.len(), lens(&s), zones(&s));
+        let expected = fnv1a(&frame) ^ 1;
+        assert_eq!(
+            s.append_raw_with_crc(&frame, expected),
+            Err(CodecError::ChecksumMismatch {
+                expected,
+                actual: fnv1a(&frame)
+            })
+        );
+        assert_eq!(s.len(), len);
+        assert_eq!(lens(&s), seg_lens);
+        assert_eq!(zones(&s), zone_maps);
+        assert_eq!(s.scan().count(), len);
+        // The right checksum still goes through.
+        s.append_raw_with_crc(&frame, fnv1a(&frame)).unwrap();
+        assert_eq!((s.len(), s.scan().count()), (len + 1, len + 1));
+        assert_eq!(s.stats().gps_records, 1);
     }
 
     #[test]
